@@ -4,16 +4,23 @@ Floats are rendered with 17 significant digits in lowercase scientific
 notation so that identical runs produce byte-identical files.  The JSON
 writer is a small custom emitter: the stdlib encoder prints shortest
 round-trip floats, which is deterministic but does not honor the fixed
-format, so we emit the text ourselves (keys keep insertion order).
+format, so we emit the text ourselves (keys keep insertion order).  JSON
+has no spelling for NaN or infinity, so non-finite floats are written as
+null; CSV keeps Python's nan/inf.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 
 def fmt_float(x: float) -> str:
     return format(float(x), ".16e")
+
+
+def _json_float(x: float) -> str:
+    return fmt_float(x) if math.isfinite(x) else "null"
 
 
 def _emit(obj, out: list):
@@ -26,7 +33,7 @@ def _emit(obj, out: list):
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
-        out.append(fmt_float(obj))
+        out.append(_json_float(obj))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, dict):
@@ -48,7 +55,7 @@ def _emit(obj, out: list):
     else:
         # numpy scalars and anything float-like
         try:
-            out.append(fmt_float(float(obj)))
+            out.append(_json_float(float(obj)))
         except (TypeError, ValueError):
             out.append(json.dumps(str(obj)))
 

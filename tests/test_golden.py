@@ -10,11 +10,15 @@ output change, run its argv by hand:
     PYTHONPATH=src python -m minlen.cli <argv...> --out-dir tests/golden/<case>
 """
 
+import json
+import math
 import os
 
+import numpy as np
 import pytest
 
 from minlen.cli import main
+from minlen.serialize import dumps_json
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -72,3 +76,27 @@ def test_golden_outputs(case, tmp_path):
         with open(os.path.join(golden, name), "rb") as fh:
             want = fh.read()
         assert got == want, f"{case}/{name} differs from its golden"
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_json_outputs_parse_strictly(case):
+    """report.json and every JSON artifact are RFC 8259 JSON: no NaN or
+    Infinity tokens.  The goldens stand for the outputs, which the test
+    above holds byte-identical to them."""
+    golden = os.path.join(GOLDEN, case)
+    names = [n for n in _files(golden) if n.endswith(".json")]
+    assert "report.json" in names
+    for name in names:
+        with open(os.path.join(golden, name)) as fh:
+            json.loads(fh.read(), parse_constant=_reject_constant)
+
+
+def test_nonfinite_floats_serialize_as_null():
+    obj = {"nan": math.nan, "inf": math.inf, "ninf": -math.inf,
+           "np": np.float64("nan"), "ok": 1.5}
+    assert json.loads(dumps_json(obj), parse_constant=_reject_constant) == {
+        "nan": None, "inf": None, "ninf": None, "np": None, "ok": 1.5}
