@@ -29,7 +29,6 @@ from .oscillator.spectrum import (
     DOParams,
     QuantumNumber,
     UnphysicalDeformationError,
-    make_level,
     p0_allowed,
     spectrum_table,
 )
@@ -113,10 +112,11 @@ def _doparams(args, diagnostic_ok=False) -> DOParams:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each writes its artifacts and returns (report, exit code);
+# main writes the report
 
 
-def cmd_verify_algebra(args) -> int:
+def cmd_verify_algebra(args):
     dims = args.dims or 3
     case = args.case or "all"
     st = Spacetime(dims)
@@ -144,11 +144,10 @@ def cmd_verify_algebra(args) -> int:
         "passed": passed,
         "suites": [s.to_dict() for s in suites],
     }
-    write_json(os.path.join(_outdir(args), "report.json"), report)
-    return 0 if passed else 1
+    return report, 0 if passed else 1
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args):
     params = _doparams(args)
     n_max = args.n_max if args.n_max is not None else 10
     table = spectrum_table(params, int(n_max))
@@ -172,11 +171,10 @@ def cmd_spectrum(args) -> int:
         "unphysical_decrease": flagged,
         "passed": not flagged,
     }
-    write_json(os.path.join(out, "report.json"), report)
-    return 0 if (not flagged or params.diagnostic) else 1
+    return report, 0 if (not flagged or params.diagnostic) else 1
 
 
-def cmd_wavefunction(args) -> int:
+def cmd_wavefunction(args):
     params = _doparams(args)
     _require(args, "n")
     tau = args.tau if args.tau is not None else 1
@@ -214,11 +212,10 @@ def cmd_wavefunction(args) -> int:
         "tol": tol,
         "passed": passed,
     }
-    write_json(os.path.join(out, "report.json"), report)
-    return 0 if passed else 1
+    return report, 0 if passed else 1
 
 
-def cmd_uncertainty(args) -> int:
+def cmd_uncertainty(args):
     params = _doparams(args)
     n_max = int(args.n_max if args.n_max is not None else 5)
     size = int(args.grid_size or 4001)
@@ -239,11 +236,10 @@ def cmd_uncertainty(args) -> int:
         "n_max": n_max,
         "passed": ok,
     }
-    write_json(os.path.join(out, "report.json"), report)
-    return 0 if ok else 1
+    return report, 0 if ok else 1
 
 
-def cmd_limits(args) -> int:
+def cmd_limits(args):
     _require(args, "beta_values", "omega_tilde")
     try:
         betas = [float(b) for b in str(args.beta_values).split(",") if b]
@@ -282,8 +278,7 @@ def cmd_limits(args) -> int:
         "linear_in_beta": linear,
         "passed": passed,
     }
-    write_json(os.path.join(out, "report.json"), report)
-    return 0 if passed else 1
+    return report, 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +355,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         _merge_config(args)
-        return args.func(args)
+        report, code = args.func(args)
+        write_json(os.path.join(_outdir(args), "report.json"), report)
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

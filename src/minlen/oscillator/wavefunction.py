@@ -102,6 +102,15 @@ def _q_of_p(params: DOParams, c0: float, p):
     return np.arctan(np.sqrt(bt / c0) * np.asarray(p, dtype=float)) / r
 
 
+def _ladder_tridiagonal(wt: float, p, f, dq: float, partner: bool = False):
+    """Diagonal and off-diagonal of the discretized B+B- (or of the partner
+    B-B+): -wt^2 d^2/dq^2 + p^2 -+ wt f on the interior nodes."""
+    v = p * p + (wt if partner else -wt) * f
+    diag = 2.0 * wt**2 / dq**2 + v
+    off = np.full(p.size - 1, -(wt**2) / dq**2)
+    return diag, off
+
+
 def lowest_eigenvalues(
     params: DOParams,
     p0_tilde: float,
@@ -111,13 +120,10 @@ def lowest_eigenvalues(
     k_hint: Optional[int] = None,
 ):
     """k lowest eigenvalues of B+B- (or of the partner B-B+)."""
-    wt = params.omega_tilde
     q, p, f, dq, _ = flat_grid(
         params, p0_tilde, npts, k_hint=k_hint or (k + 4)
     )
-    v = p * p + (wt if partner else -wt) * f
-    diag = 2.0 * wt**2 / dq**2 + v
-    off = np.full(npts - 1, -(wt**2) / dq**2)
+    diag, off = _ladder_tridiagonal(params.omega_tilde, p, f, dq, partner)
     vals = eigh_tridiagonal(
         diag, off, select="i", select_range=(0, k - 1), eigvals_only=True
     )
@@ -392,9 +398,7 @@ def wavefunction(
     wt = params.omega_tilde
     npts = grid.size
     q, p, f, dq, c0 = flat_grid(params, p0, npts, k_hint=FIXED_K_HINT)
-    v = p * p - wt * f
-    diag = 2.0 * wt**2 / dq**2 + v
-    off = np.full(npts - 1, -(wt**2) / dq**2)
+    diag, off = _ladder_tridiagonal(wt, p, f, dq)
     vals, vecs = eigh_tridiagonal(
         diag, off, select="i", select_range=(qn.n, qn.n)
     )

@@ -20,12 +20,10 @@ from .operator import (
     commutator,
     deformed_position,
     lorentz_generator,
-    lowered,
     momentum_operator,
     translation_g,
     translation_generator,
     undeformed_lorentz_generator,
-    undeformed_position,
 )
 
 
@@ -129,44 +127,34 @@ class TransformationSpec:
         return cls("translation", da=tuple(da))
 
 
-def _metric_square_poly(ring: Ring) -> Poly:
-    s = Poly.zero(ring)
-    for j, g in enumerate(ring.metric):
-        pj = Poly.momentum(ring, j)
-        s = s + pj * pj * g
-    return s
+def _position_momentum(ring: Ring):
+    """The operator lists X^mu and P^mu over every momentum index."""
+    n = ring.nmom
+    X = [deformed_position(ring, m) for m in range(n)]
+    P = [momentum_operator(ring, m) for m in range(n)]
+    return X, P
 
 
-def _xp_residual(ring, X, P, mu, nu, betap_scale=1, w_rhs=None):
-    """[X^mu, P^nu] + h[(1-beta s) g^{mu nu} - betap p^mu p^nu]."""
+def _xp_residual(ring, X, P, p, w, mu, nu, betap_scale=1):
+    """[X^mu, P^nu] + h[w g^{mu nu} - betap p^mu p^nu].
+
+    p are the momentum polynomials of the operators P, and w = 1 - beta s
+    their deformation factor.
+    """
     h = Poly.symbol(ring, "h")
     gmn = ring.metric[mu] if mu == nu else 0
-    w_rhs = ring.w if w_rhs is None else w_rhs
-    rhs = h * (
-        w_rhs * gmn
-        - ring.param("betap")
-        * betap_scale
-        * Poly.momentum(ring, mu)
-        * Poly.momentum(ring, nu)
-    )
+    rhs = h * (w * gmn - ring.param("betap") * betap_scale * p[mu] * p[nu])
     return commutator(X[mu], P[nu]) + Op.mult(rhs)
 
 
-def _gfun_poly(ring: Ring, drop_s_term=False) -> Poly:
-    beta = ring.param("beta")
-    betap = ring.param("betap")
-    g = beta * 2 - betap
-    if not drop_s_term:
-        g = g - (beta * 2 + betap) * beta * _metric_square_poly(ring)
-    return g
+def _xx_residual(ring, X, P, w, g, mu, nu):
+    """w o [X^mu, X^nu] - h g (P^mu X^nu - P^nu X^mu), cleared form.
 
-
-def _xx_residual(ring, X, P, mu, nu, gfun=None):
-    """w o [X^mu, X^nu] - h gfun (P^mu X^nu - P^nu X^mu), cleared form."""
+    g is the numerator of the translation function, Ring.g_numerator(s).
+    """
     h = Poly.symbol(ring, "h")
-    gfun = _gfun_poly(ring) if gfun is None else gfun
-    lhs = commutator(X[mu], X[nu]).scale(ring.w)
-    rhs = ((P[mu] @ X[nu]) - (P[nu] @ X[mu])).scale(Coef(h * gfun))
+    lhs = commutator(X[mu], X[nu]).scale(w)
+    rhs = ((P[mu] @ X[nu]) - (P[nu] @ X[mu])).scale(Coef(h * g))
     return lhs - rhs
 
 
@@ -181,19 +169,17 @@ def verify_algebra(
 
 def _algebra_suite(ring: Ring, suite: str, tamper=()) -> VerificationReport:
     n = ring.nmom
-    X = [deformed_position(ring, m) for m in range(n)]
-    P = [momentum_operator(ring, m) for m in range(n)]
+    X, P = _position_momentum(ring)
     rep = VerificationReport(suite)
     betap_scale = 2 if "xp-betap-doubled" in tamper else 1
-    w_rhs = Poly.one(ring) if "xp-w-dropped" in tamper else None
-    gfun = (
-        _gfun_poly(ring, drop_s_term=True)
-        if "xx-s-term-dropped" in tamper
-        else None
-    )
+    w_rhs = Poly.one(ring) if "xp-w-dropped" in tamper else ring.w
+    s = Poly.zero(ring) if "xx-s-term-dropped" in tamper else ring.s
+    g = ring.g_numerator(s)
     for mu in range(n):
         for nu in range(mu, n):
-            res = _xp_residual(ring, X, P, mu, nu, betap_scale, w_rhs)
+            res = _xp_residual(
+                ring, X, P, ring.momenta, w_rhs, mu, nu, betap_scale
+            )
             rep.record(
                 f"xp-{mu}{nu}",
                 rf"[X^{mu},P^{nu}] = -i\hbar[(1-\beta P\cdot P)g^{{{mu}{nu}}}"
@@ -201,7 +187,7 @@ def _algebra_suite(ring: Ring, suite: str, tamper=()) -> VerificationReport:
                 res,
             )
     for mu, nu in combinations(range(n), 2):
-        res = _xx_residual(ring, X, P, mu, nu, gfun)
+        res = _xx_residual(ring, X, P, ring.w, g, mu, nu)
         rep.record(
             f"xx-{mu}{nu}",
             rf"(1-\beta P\cdot P)[X^{mu},X^{nu}] = i\hbar"
@@ -313,11 +299,10 @@ def _primed_operators(ring, X, P, spec: TransformationSpec, tamper=()):
             dX.append(dxm.scale(eps))
             dP.append(dpm.scale(eps))
     else:
-        gfun = translation_g(ring)
         if "trans-gfun-wrong" in tamper:
-            beta = ring.param("beta")
-            betap = ring.param("betap")
-            gfun = Coef(beta * 2 - betap, 1)
+            gfun = Coef(ring.g_numerator(Poly.zero(ring)), 1)  # g(0) w^-1
+        else:
+            gfun = translation_g(ring)
         da_dot_p = Poly.zero(ring)
         for nu in range(n):
             da_dot_p = da_dot_p + Poly.momentum(ring, nu) * (
@@ -356,8 +341,7 @@ def verify_transformations(
             TransformationSpec.rotation(st, a, b)
             for a, b in combinations(range(n), 2)
         ] + [TransformationSpec.translation(st, a) for a in range(n)]
-    X = [deformed_position(ring, m) for m in range(n)]
-    P = [momentum_operator(ring, m) for m in range(n)]
+    X, P = _position_momentum(ring)
     Lpairs = {
         (a, b): lorentz_generator(ring, a, b)
         for a, b in combinations(range(n), 2)
@@ -378,11 +362,6 @@ def verify_transformations(
                         c = Fraction(g[a] * g[b] * spec.domega[a][b])
                         if c:
                             acc = acc + commutator(Lab, ops[mu]).scale(2 * c)
-                    direct = Op.zero(ring)
-                    for nu in range(n):
-                        c = Fraction(g[mu] * spec.domega[mu][nu])
-                        if c:
-                            direct = direct + ops[nu].scale(c)
                     rep.record(
                         f"{tag}-gen-{sym}{mu}",
                         rf"\delta {sym}^{mu} = [i/(2\hbar)]\delta\omega^{{ab}}"
@@ -412,41 +391,26 @@ def verify_transformations(
                             commutator(Phat[a], P[mu]),
                         )
 
-        # first-order invariance of the three defining relations
-        sp = Poly.zero(ring)
+        # first-order invariance of the three defining relations, with
+        # p', w' = 1 - beta s' and g(s') in place of p, w and g(s)
         pprimed = [op.terms[(0,) * n].num for op in Pp]
-        for nu in range(n):
-            sp = sp + pprimed[nu] * pprimed[nu] * g[nu]
-        wp = Poly.one(ring) - ring.param("beta") * sp
+        sp = ring.metric_square(pprimed)
+        wp = ring.w_of(sp)
+        gp = ring.g_numerator(sp)
         for mu in range(n):
             for nu in range(mu, n):
-                gmn = g[mu] if mu == nu else 0
-                rhs = h * (
-                    wp * gmn
-                    - ring.param("betap") * pprimed[mu] * pprimed[nu]
-                )
-                res = commutator(Xp[mu], Pp[nu]) + Op.mult(rhs)
+                res = _xp_residual(ring, Xp, Pp, pprimed, wp, mu, nu)
                 rep.record(
                     f"{tag}-inv-xp-{mu}{nu}",
                     rf"[X'^{mu},P'^{nu}] invariant to O(\delta)",
                     res.truncate_eps(2),
                 )
-        gfun_p = (
-            ring.param("beta") * 2
-            - ring.param("betap")
-            - (ring.param("beta") * 2 + ring.param("betap"))
-            * ring.param("beta")
-            * sp
-        )
         for mu, nu in combinations(range(n), 2):
-            lhs = commutator(Xp[mu], Xp[nu]).scale(wp)
-            rhs = ((Pp[mu] @ Xp[nu]) - (Pp[nu] @ Xp[mu])).scale(
-                Coef(h * gfun_p)
-            )
+            res = _xx_residual(ring, Xp, Pp, wp, gp, mu, nu)
             rep.record(
                 f"{tag}-inv-xx-{mu}{nu}",
                 rf"[X'^{mu},X'^{nu}] invariant to O(\delta)",
-                (lhs - rhs).truncate_eps(2),
+                res.truncate_eps(2),
             )
         for mu, nu in combinations(range(n), 2):
             rep.record(
@@ -461,19 +425,15 @@ def verify_reductions(D: int = 3) -> VerificationReport:
     """Snyder special case and the Euclidean (Kempf) analogue."""
     rep = VerificationReport("reductions")
     # Snyder: Minkowski, beta = gamma = 0, betap symbolic
+    # (w = 1 and g(s) = -betap there)
     ring = Ring(Spacetime(D).metric, beta=0, gamma=0)
-    n = ring.nmom
-    X = [deformed_position(ring, m) for m in range(n)]
-    P = [momentum_operator(ring, m) for m in range(n)]
-    h = Poly.symbol(ring, "h")
-    for mu, nu in combinations(range(n), 2):
-        rhs = ((P[mu] @ X[nu]) - (P[nu] @ X[mu])).scale(
-            Coef(h * ring.param("betap"))
-        )
+    X, P = _position_momentum(ring)
+    g = ring.g_numerator(ring.s)
+    for mu, nu in combinations(range(ring.nmom), 2):
         rep.record(
             f"snyder-xx-{mu}{nu}",
             rf"[X^{mu},X^{nu}] = -i\hbar\beta'(P^{mu}X^{nu}-P^{nu}X^{mu})",
-            commutator(X[mu], X[nu]) + rhs,
+            _xx_residual(ring, X, P, ring.w, g, mu, nu),
         )
 
     # Euclidean mode: metric all -1 reproduces the Kempf relations verbatim
@@ -490,20 +450,21 @@ def verify_reductions(D: int = 3) -> VerificationReport:
         )
 
     # undeformed Euclidean limit: canonical commutation relations
+    # (w = 1 and g(s) = 0 there)
     cring = Ring((-1,) * D, beta=0, betap=0)
-    Xc = [deformed_position(cring, m) for m in range(D)]
-    Pc = [momentum_operator(cring, m) for m in range(D)]
-    hc = Poly.symbol(cring, "h")
+    Xc, Pc = _position_momentum(cring)
+    gc = cring.g_numerator(cring.s)
     for i in range(D):
         for j in range(i, D):
-            delta = 1 if i == j else 0
             rep.record(
                 f"ccr-xp-{i}{j}",
                 rf"[X^{i},P^{j}] = i\hbar\delta^{{{i}{j}}}",
-                commutator(Xc[i], Pc[j]) - Op.mult(Poly.const(cring, delta) * hc),
+                _xp_residual(cring, Xc, Pc, cring.momenta, cring.w, i, j),
             )
     for i, j in combinations(range(D), 2):
         rep.record(
-            f"ccr-xx-{i}{j}", rf"[X^{i},X^{j}] = 0", commutator(Xc[i], Xc[j])
+            f"ccr-xx-{i}{j}",
+            rf"[X^{i},X^{j}] = 0",
+            _xx_residual(cring, Xc, Pc, cring.w, gc, i, j),
         )
     return rep

@@ -79,21 +79,9 @@ class Op:
     def __matmul__(self, other: "Op") -> "Op":
         if self.ring != other.ring:
             raise ValueError("operators over different rings")
-        nm = self.ring.nmom
         out = {}
         for b, cb in other.terms.items():
-            # cache derivatives of cb, keyed by multi-index
-            dcache = {(0,) * nm: cb}
-
-            def dk(k, _dcache=dcache):
-                if k in _dcache:
-                    return _dcache[k]
-                j = next(i for i, ki in enumerate(k) if ki)
-                prev = tuple(ki - (1 if i == j else 0) for i, ki in enumerate(k))
-                val = dk(prev).diff(j)
-                _dcache[k] = val
-                return val
-
+            dk = _derivatives(cb)
             for a, ca in self.terms.items():
                 for k in product(*(range(ai + 1) for ai in a)):
                     mult = 1
@@ -131,19 +119,7 @@ class Op:
     # ---- action on functions --------------------------------------------
     def apply(self, f) -> Coef:
         """Apply the operator to a scalar function (Poly or Coef)."""
-        f = Coef.of(f) if not isinstance(f, Coef) else f
-        nm = self.ring.nmom
-        dcache = {(0,) * nm: f}
-
-        def dk(k):
-            if k in dcache:
-                return dcache[k]
-            j = next(i for i, ki in enumerate(k) if ki)
-            prev = tuple(ki - (1 if i == j else 0) for i, ki in enumerate(k))
-            val = dk(prev).diff(j)
-            dcache[k] = val
-            return val
-
+        dk = _derivatives(Coef.of(f))
         out = Coef.zero(self.ring)
         for a, c in self.terms.items():
             out = out + c * dk(a)
@@ -162,6 +138,20 @@ class Op:
             )
             parts.append(f"[{self.terms[a]!r}]{ds}")
         return " + ".join(parts)
+
+
+def _derivatives(c: Coef):
+    """Memoized mixed derivatives of c: dk(k) is d^k c for a multi-index k."""
+    cache = {(0,) * c.ring.nmom: c}
+
+    def dk(k):
+        if k not in cache:
+            j = next(i for i, ki in enumerate(k) if ki)
+            prev = tuple(ki - (1 if i == j else 0) for i, ki in enumerate(k))
+            cache[k] = dk(prev).diff(j)
+        return cache[k]
+
+    return dk
 
 
 def commutator(a: Op, b: Op) -> Op:
@@ -218,23 +208,24 @@ def lowered(builder, ring: Ring, mu: int) -> Op:
     return builder(ring, mu).scale(Fraction(ring.metric[mu]))
 
 
-def lorentz_generator(ring: Ring, a: int, b: int) -> Op:
-    """L_{ab} = w^-1 (X_a P_b - X_b P_a)."""
-    xa = lowered(deformed_position, ring, a)
-    xb = lowered(deformed_position, ring, b)
+def _angular(position, ring: Ring, a: int, b: int) -> Op:
+    """x_a p_b - x_b p_a for the position operator built by `position`."""
+    xa = lowered(position, ring, a)
+    xb = lowered(position, ring, b)
     pa = lowered(momentum_operator, ring, a)
     pb = lowered(momentum_operator, ring, b)
-    raw = (xa @ pb) - (xb @ pa)
+    return (xa @ pb) - (xb @ pa)
+
+
+def lorentz_generator(ring: Ring, a: int, b: int) -> Op:
+    """L_{ab} = w^-1 (X_a P_b - X_b P_a)."""
+    raw = _angular(deformed_position, ring, a, b)
     return raw.scale(Coef(Poly.one(ring), 1))
 
 
 def undeformed_lorentz_generator(ring: Ring, a: int, b: int) -> Op:
     """x_a p_b - x_b p_a, the expected normal form of L_{ab}."""
-    xa = lowered(undeformed_position, ring, a)
-    xb = lowered(undeformed_position, ring, b)
-    pa = lowered(momentum_operator, ring, a)
-    pb = lowered(momentum_operator, ring, b)
-    return (xa @ pb) - (xb @ pa)
+    return _angular(undeformed_position, ring, a, b)
 
 
 def translation_generator(ring: Ring, a: int) -> Op:
@@ -245,11 +236,4 @@ def translation_generator(ring: Ring, a: int) -> Op:
 
 def translation_g(ring: Ring) -> Coef:
     """g(s) = w^-2 [2 beta - betap - (2 beta + betap) beta s]."""
-    beta = ring.param("beta")
-    betap = ring.param("betap")
-    s_poly = Poly.zero(ring)
-    for j, g in enumerate(ring.metric):
-        pj = Poly.momentum(ring, j)
-        s_poly = s_poly + pj * pj * g
-    num = beta * 2 - betap - (beta * 2 + betap) * beta * s_poly
-    return Coef(num, 2)
+    return Coef(ring.g_numerator(ring.s), 2)

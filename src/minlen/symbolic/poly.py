@@ -44,15 +44,28 @@ class Ring:
             if val is not None:
                 self.subs[name] = Fraction(val)
         self._zero_exp = (0,) * self.nsym
-        self.w = self._build_w()
+        self.momenta = [Poly.momentum(self, j) for j in range(self.nmom)]
+        self.s = self.metric_square(self.momenta)
+        self.w = self.w_of(self.s)
         self.w_is_one = self.w == Poly.one(self)
 
-    def _build_w(self):
+    def metric_square(self, p) -> "Poly":
+        """s = sum_mu g_mu (p^mu)^2 over momentum polynomials p^0, p^1, ..."""
         s = Poly.zero(self)
-        for j, g in enumerate(self.metric):
-            pj = Poly.momentum(self, j)
+        for pj, g in zip(p, self.metric):
             s = s + pj * pj * g
+        return s
+
+    def w_of(self, s) -> "Poly":
+        """The deformation factor w = 1 - beta s."""
         return Poly.one(self) - self.param("beta") * s
+
+    def g_numerator(self, s) -> "Poly":
+        """Numerator of the translation function g(s) = w^-2 times
+        2 beta - betap - (2 beta + betap) beta s."""
+        beta = self.param("beta")
+        betap = self.param("betap")
+        return beta * 2 - betap - (beta * 2 + betap) * beta * s
 
     def param(self, name) -> "Poly":
         """beta/betap/gamma as a Poly: a constant if numerically fixed,

@@ -83,12 +83,9 @@ def ur_bound(
     m: MomentSet, params: DeformationParams, i: int, hbar: float = 1.0
 ) -> float:
     """Right-hand side of the deformed uncertainty relation for (X^i, P^i)."""
-    brace = m.meansq_P0 - sum(
-        m.spread_P[j] ** 2 + m.mean_P[j] ** 2 for j in range(m.D)
-    )
     val = (
         1.0
-        - params.beta * brace
+        - params.beta * m.minkowski_meansq()
         + params.beta_prime * m.meansq_spatial(i)
     )
     return 0.5 * hbar * abs(val)
