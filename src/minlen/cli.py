@@ -12,6 +12,7 @@ Options may come from a line-oriented `key = value` config file
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -78,10 +79,43 @@ def _merge_config(args: argparse.Namespace):
                 setattr(args, key, _coerce(val))
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _require(args, *names):
     for name in names:
         if getattr(args, name, None) is None:
-            raise UsageError(f"missing required option --{name.replace('_','-')}")
+            raise UsageError(f"missing required option {_flag(name)}")
+
+
+def _int_option(args, name: str, default: int, minimum: int) -> int:
+    """An integer option (flag or config value), default when absent."""
+    val = getattr(args, name, None)
+    if val is None:
+        return default
+    if isinstance(val, bool) or not isinstance(val, int) or val < minimum:
+        raise UsageError(
+            f"{_flag(name)} must be an integer >= {minimum}, got {val!r}"
+        )
+    return val
+
+
+def _positive_option(args, name: str, default: float) -> float:
+    """A positive finite float option (flag or config value)."""
+    val = getattr(args, name, None)
+    if val is None:
+        return default
+    try:
+        val = float(val)
+    except ValueError:
+        val = math.nan
+    if not (math.isfinite(val) and val > 0):
+        raise UsageError(
+            f"{_flag(name)} must be a positive finite number, "
+            f"got {getattr(args, name)!r}"
+        )
+    return val
 
 
 def _outdir(args) -> str:
@@ -97,16 +131,33 @@ def _fmt(args) -> str:
     return fmt
 
 
-def _doparams(args, diagnostic_ok=False) -> DOParams:
-    _require(args, "beta_tilde", "omega_tilde")
+def _oscillator(beta_tilde, omega_tilde, diagnostic=False) -> DOParams:
+    """DOParams whose invalid values are usage errors (beta_tilde >= 1
+    outside diagnostic mode stays a check failure)."""
     try:
         return DOParams(
-            beta_tilde=float(args.beta_tilde),
-            omega_tilde=float(args.omega_tilde),
-            diagnostic=bool(getattr(args, "diagnostic", False)),
+            beta_tilde=float(beta_tilde),
+            omega_tilde=float(omega_tilde),
+            diagnostic=diagnostic,
         )
     except UnphysicalDeformationError:
         raise
+    except ValueError as exc:
+        raise UsageError(str(exc))
+
+
+def _doparams(args) -> DOParams:
+    _require(args, "beta_tilde", "omega_tilde")
+    return _oscillator(
+        args.beta_tilde,
+        args.omega_tilde,
+        bool(getattr(args, "diagnostic", False)),
+    )
+
+
+def _grid(args) -> GridSpec:
+    try:
+        return GridSpec(_int_option(args, "grid_size", 4001, 1))
     except ValueError as exc:
         raise UsageError(str(exc))
 
@@ -117,7 +168,7 @@ def _doparams(args, diagnostic_ok=False) -> DOParams:
 
 
 def cmd_verify_algebra(args):
-    dims = args.dims or 3
+    dims = _int_option(args, "dims", 3, 1)
     case = args.case or "all"
     st = Spacetime(dims)
     suites = []
@@ -149,8 +200,8 @@ def cmd_verify_algebra(args):
 
 def cmd_spectrum(args):
     params = _doparams(args)
-    n_max = args.n_max if args.n_max is not None else 10
-    table = spectrum_table(params, int(n_max))
+    n_max = _int_option(args, "n_max", 10, 0)
+    table = spectrum_table(params, n_max)
     out = _outdir(args)
     header = ["n", "tau", "K", "p0_tilde", "e_n", "E_over_mc2"]
     rows = list(table.rows())
@@ -166,7 +217,7 @@ def cmd_spectrum(args):
         "command": "spectrum",
         "beta_tilde": params.beta_tilde,
         "omega_tilde": params.omega_tilde,
-        "n_max": int(n_max),
+        "n_max": n_max,
         "levels": len(table.levels),
         "unphysical_decrease": flagged,
         "passed": not flagged,
@@ -177,14 +228,15 @@ def cmd_spectrum(args):
 def cmd_wavefunction(args):
     params = _doparams(args)
     _require(args, "n")
+    n = _int_option(args, "n", 0, 0)
     tau = args.tau if args.tau is not None else 1
     try:
-        qn = QuantumNumber(int(args.n), int(tau))
+        qn = QuantumNumber(n, int(tau))
     except ValueError as exc:
         raise UsageError(str(exc))
-    size = int(args.grid_size or 4001)
-    tol = float(args.tol or 1e-6)
-    wf = wavefunction(params, qn, GridSpec(size))
+    grid = _grid(args)
+    tol = _positive_option(args, "tol", 1e-6)
+    wf = wavefunction(params, qn, grid)
     out = _outdir(args)
     stem = f"wavefunction_n{qn.n}_tau{'p' if qn.tau > 0 else 'm'}"
     header = ["p_tilde", "q", "psi1", "psi2", "f", "weight"]
@@ -205,7 +257,7 @@ def cmd_wavefunction(args):
         "omega_tilde": params.omega_tilde,
         "n": qn.n,
         "tau": qn.tau,
-        "grid_size": size,
+        "grid_size": grid.size,
         "residual_coupled_1": wf.metadata["residual_coupled_1"],
         "residual_coupled_2": wf.metadata["residual_coupled_2"],
         "norm_squared": wf.norm_squared(),
@@ -217,12 +269,12 @@ def cmd_wavefunction(args):
 
 def cmd_uncertainty(args):
     params = _doparams(args)
-    n_max = int(args.n_max if args.n_max is not None else 5)
-    size = int(args.grid_size or 4001)
+    n_max = _int_option(args, "n_max", 5, 0)
+    grid = _grid(args)
     records = []
     ok = True
     for n in range(n_max + 1):
-        wf = wavefunction(params, QuantumNumber(n, 1), GridSpec(size))
+        wf = wavefunction(params, QuantumNumber(n, 1), grid)
         rec = uncertainty_report(wf, params)
         # quadrature-scale tolerance on the inequality
         ok = ok and rec["slack"] >= -1e-10
@@ -247,12 +299,13 @@ def cmd_limits(args):
         raise UsageError("beta-values must be a comma-separated float list")
     if not betas:
         raise UsageError("beta-values is empty")
-    wt = float(args.omega_tilde)
-    n_max = int(args.n_max if args.n_max is not None else 20)
+    all_params = [_oscillator(bt, args.omega_tilde) for bt in betas]
+    wt = all_params[0].omega_tilde
+    n_max = _int_option(args, "n_max", 20, 0)
     rows = []
     devs = []
-    for bt in betas:
-        params = DOParams(bt, wt)
+    for params in all_params:
+        bt = params.beta_tilde
         ns = np.arange(n_max + 1)
         p0 = np.array(
             [p0_allowed(params, QuantumNumber(int(n), 1)) for n in ns]

@@ -94,8 +94,69 @@ def test_exit_codes(tmp_path):
          + out("c13"), 2),
         (["spectrum", "--config", str(tmp_path / "nope.cfg")] + out("c14"), 2),
     ]
+    # out-of-range or malformed values are usage errors, never silently
+    # replaced by a default, never a traceback and never an empty check
+    WF = ["wavefunction", "--beta-tilde", "0.5", "--omega-tilde", "1.0",
+          "--n", "1"]
+    UNC = ["uncertainty", "--beta-tilde", "0.5", "--omega-tilde", "1.0"]
+    LIM = ["limits", "--beta-values", "1e-3", "--omega-tilde", "0.7"]
+    cases += [
+        (["verify-algebra", "--dims", "0"] + out("c15"), 2),
+        (["verify-algebra", "--dims", "-1"] + out("c16"), 2),
+        (WF + ["--grid-size", "2001", "--tol", "0"] + out("c17"), 2),
+        (WF + ["--grid-size", "10"] + out("c18"), 2),
+        (WF + ["--grid-size", "0"] + out("c19"), 2),
+        (["spectrum", "--beta-tilde", "0.5", "--omega-tilde", "1.0",
+          "--n-max", "-1"] + out("c20"), 2),
+        (LIM + ["--n-max", "-1"] + out("c21"), 2),
+        (UNC + ["--n-max", "-1"] + out("c22"), 2),
+        # non-finite oscillator parameters
+        (["spectrum", "--beta-tilde", "nan", "--omega-tilde", "1.0"]
+         + out("c23"), 2),
+        (["spectrum", "--beta-tilde", "0.5", "--omega-tilde", "inf"]
+         + out("c24"), 2),
+        (["limits", "--beta-values", "nan", "--omega-tilde", "0.7"]
+         + out("c25"), 2),
+        (["limits", "--beta-values", "1e-3", "--omega-tilde", "-1"]
+         + out("c26"), 2),
+    ]
+
+    def config(name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return ["--config", str(path)]
+
+    osc = "beta-tilde = 0.5\nomega-tilde = 1.0\n"
+    cases += [
+        (["verify-algebra"] + config("k1.cfg", "dims = 0\n") + out("k1"), 2),
+        (["verify-algebra"] + config("k2.cfg", "dims = -1\n") + out("k2"), 2),
+        (["verify-algebra"] + config("k3.cfg", "dims = two\n") + out("k3"), 2),
+        (["wavefunction"] + config("k4.cfg", osc + "n = 1\ntol = 0\n")
+         + out("k4"), 2),
+        (["wavefunction"] + config("k5.cfg", osc + "n = 1\ngrid-size = 10\n")
+         + out("k5"), 2),
+        (["spectrum"] + config("k6.cfg", osc + "n-max = -1\n") + out("k6"), 2),
+        (["spectrum"] + config("k7.cfg", osc + "n-max = 2.5\n") + out("k7"), 2),
+        (["limits"] + config("k8.cfg", "beta-values = 1e-3\nomega-tilde = 0.7"
+                                       "\nn-max = -1\n") + out("k8"), 2),
+        (["uncertainty"] + config("k9.cfg", osc + "n-max = -1\n")
+         + out("k9"), 2),
+        (["spectrum"] + config("k10.cfg", "beta-tilde = nan\nomega-tilde = 1\n")
+         + out("k10"), 2),
+        (["spectrum"] + config("k11.cfg", "beta-tilde = 0.5\nomega-tilde = inf\n")
+         + out("k11"), 2),
+    ]
     for args, expected in cases:
         assert run(args) == expected, args
+
+
+def test_usage_error_is_one_line(tmp_path, capsys):
+    assert run(["verify-algebra", "--dims", "0",
+                "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --dims") and err.count("\n") == 1
+    # nothing ran, so nothing was written
+    assert not os.path.exists(tmp_path / "report.json")
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -34,6 +34,16 @@ def test_params_validation():
     DOParams(1.5, 1.0, diagnostic=True)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("diagnostic", [False, True])
+def test_params_reject_nonfinite(bad, diagnostic):
+    # a plain ValueError, not the beta_tilde >= 1 refusal, in either mode
+    with pytest.raises(ValueError, match="finite"):
+        DOParams(bad, 1.0, diagnostic=diagnostic)
+    with pytest.raises(ValueError, match="finite"):
+        DOParams(0.5, bad, diagnostic=diagnostic)
+
+
 def test_dimensional_set_consistency():
     p = DOParams.from_dimensional(mass=2.0, c=3.0, hbar=0.5, omega=4.0, beta=0.01)
     assert p.has_dimensions
