@@ -89,33 +89,23 @@ def _require(args, *names):
             raise UsageError(f"missing required option {_flag(name)}")
 
 
+def _option(args, name: str, default, valid, what: str):
+    """A flag or config value, `default` when absent; a value that fails
+    `valid` is a usage error, never replaced by the default."""
+    val = getattr(args, name, None)
+    if val is None:
+        return default
+    if isinstance(val, bool) or not valid(val):
+        raise UsageError(f"{_flag(name)} must be {what}, got {val!r}")
+    return val
+
+
 def _int_option(args, name: str, default: int, minimum: int) -> int:
-    """An integer option (flag or config value), default when absent."""
-    val = getattr(args, name, None)
-    if val is None:
-        return default
-    if isinstance(val, bool) or not isinstance(val, int) or val < minimum:
-        raise UsageError(
-            f"{_flag(name)} must be an integer >= {minimum}, got {val!r}"
-        )
-    return val
-
-
-def _positive_option(args, name: str, default: float) -> float:
-    """A positive finite float option (flag or config value)."""
-    val = getattr(args, name, None)
-    if val is None:
-        return default
-    try:
-        val = float(val)
-    except ValueError:
-        val = math.nan
-    if not (math.isfinite(val) and val > 0):
-        raise UsageError(
-            f"{_flag(name)} must be a positive finite number, "
-            f"got {getattr(args, name)!r}"
-        )
-    return val
+    return _option(
+        args, name, default,
+        lambda v: isinstance(v, int) and v >= minimum,
+        f"an integer >= {minimum}",
+    )
 
 
 def _outdir(args) -> str:
@@ -124,11 +114,16 @@ def _outdir(args) -> str:
     return out
 
 
-def _fmt(args) -> str:
+def _write_table(args, stem: str, header, rows):
+    """Artifact stem.csv, or stem.json as a list of row objects."""
+    path = os.path.join(_outdir(args), stem)
     fmt = args.format or "json"
-    if fmt not in ("csv", "json"):
+    if fmt == "csv":
+        write_csv(path + ".csv", header, rows)
+    elif fmt == "json":
+        write_json(path + ".json", [dict(zip(header, r)) for r in rows])
+    else:
         raise UsageError(f"unknown format {fmt!r}")
-    return fmt
 
 
 def _oscillator(beta_tilde, omega_tilde, diagnostic=False) -> DOParams:
@@ -164,7 +159,7 @@ def _grid(args) -> GridSpec:
 
 # ---------------------------------------------------------------------------
 # subcommands: each writes its artifacts and returns (report, exit code);
-# main writes the report
+# main writes the report, headed by the command name
 
 
 def cmd_verify_algebra(args):
@@ -180,16 +175,15 @@ def cmd_verify_algebra(args):
         suites.append(verify_transformations(st))
     if case in ("all", "reductions", "snyder", "kempf"):
         red = verify_reductions(dims)
-        if case == "snyder":
-            red.checks = [c for c in red.checks if c.identity_id.startswith("snyder")]
-        elif case == "kempf":
-            red.checks = [c for c in red.checks if c.identity_id.startswith("kempf")]
+        if case in ("snyder", "kempf"):
+            red.checks = [
+                c for c in red.checks if c.identity_id.startswith(case)
+            ]
         suites.append(red)
     if not suites:
         raise UsageError(f"unknown case {case!r}")
     passed = all(s.passed for s in suites)
     report = {
-        "command": "verify-algebra",
         "dims": dims,
         "case": case,
         "passed": passed,
@@ -202,19 +196,10 @@ def cmd_spectrum(args):
     params = _doparams(args)
     n_max = _int_option(args, "n_max", 10, 0)
     table = spectrum_table(params, n_max)
-    out = _outdir(args)
     header = ["n", "tau", "K", "p0_tilde", "e_n", "E_over_mc2"]
-    rows = list(table.rows())
-    if _fmt(args) == "csv":
-        write_csv(os.path.join(out, "spectrum.csv"), header, rows)
-    else:
-        write_json(
-            os.path.join(out, "spectrum.json"),
-            [dict(zip(header, r)) for r in rows],
-        )
+    _write_table(args, "spectrum", header, list(table.rows()))
     flagged = table.unphysical_decrease
     report = {
-        "command": "spectrum",
         "beta_tilde": params.beta_tilde,
         "omega_tilde": params.omega_tilde,
         "n_max": n_max,
@@ -235,24 +220,20 @@ def cmd_wavefunction(args):
     except ValueError as exc:
         raise UsageError(str(exc))
     grid = _grid(args)
-    tol = _positive_option(args, "tol", 1e-6)
+    tol = float(_option(
+        args, "tol", 1e-6,
+        lambda v: isinstance(v, (int, float)) and 0 < v < math.inf,
+        "a positive finite number",
+    ))
     wf = wavefunction(params, qn, grid)
-    out = _outdir(args)
     stem = f"wavefunction_n{qn.n}_tau{'p' if qn.tau > 0 else 'm'}"
     header = ["p_tilde", "q", "psi1", "psi2", "f", "weight"]
-    if _fmt(args) == "csv":
-        write_csv(os.path.join(out, stem + ".csv"), header, wf.csv_rows())
-    else:
-        write_json(
-            os.path.join(out, stem + ".json"),
-            [dict(zip(header, r)) for r in wf.csv_rows()],
-        )
+    _write_table(args, stem, header, wf.csv_rows())
     res = max(
         wf.metadata["residual_coupled_1"], wf.metadata["residual_coupled_2"]
     )
     passed = res <= tol and abs(wf.norm_squared() - 1.0) <= 1e-8
     report = {
-        "command": "wavefunction",
         "beta_tilde": params.beta_tilde,
         "omega_tilde": params.omega_tilde,
         "n": qn.n,
@@ -282,7 +263,6 @@ def cmd_uncertainty(args):
     out = _outdir(args)
     write_json(os.path.join(out, "uncertainty.json"), records)
     report = {
-        "command": "uncertainty",
         "beta_tilde": params.beta_tilde,
         "omega_tilde": params.omega_tilde,
         "n_max": n_max,
@@ -321,7 +301,6 @@ def cmd_limits(args):
     linear = all(8.0 <= r <= 12.0 for _, _, r in rows[1:])
     passed = linear if args.expect_linear else True
     report = {
-        "command": "limits",
         "omega_tilde": wt,
         "n_max": n_max,
         "rows": [
@@ -409,6 +388,7 @@ def main(argv=None) -> int:
     try:
         _merge_config(args)
         report, code = args.func(args)
+        report = {"command": args.command, **report}
         write_json(os.path.join(_outdir(args), "report.json"), report)
         return code
     except UsageError as exc:

@@ -235,6 +235,11 @@ def fd_derivative(values, dq: float, order: int = 6):
     return out
 
 
+def _l2norm(values, dq: float) -> float:
+    """Discrete L2 norm sqrt(sum |v|^2 dq) on the uniform q grid."""
+    return math.sqrt(float(np.sum(np.abs(values) ** 2) * dq))
+
+
 # ---------------------------------------------------------------------------
 # wavefunction grids
 
@@ -321,8 +326,8 @@ def ladder_apply(sign: int, grid: WavefunctionGrid, values, tol: float = 1e-6):
     d6 = fd_derivative(values, grid.dq, order=6)
     d4 = fd_derivative(values, grid.dq, order=4)
     out = grid.p * values - sign * wt * d6
-    scale = math.sqrt(float(np.sum(np.abs(values) ** 2) * grid.dq)) or 1.0
-    est = wt * math.sqrt(float(np.sum((d6 - d4) ** 2) * grid.dq)) / scale
+    scale = _l2norm(values, grid.dq) or 1.0
+    est = wt * _l2norm(d6 - d4, grid.dq) / scale
     meta = {"derivative_error_estimate": est, "too_coarse": est > tol}
     return out, meta
 
@@ -354,9 +359,7 @@ def ground_state(
     )
     wf.normalize()
     res, meta = ladder_apply(-1, wf, wf.psi1)
-    wf.metadata["ground_residual"] = float(
-        math.sqrt(float(np.sum(res**2) * dq))
-    )
+    wf.metadata["ground_residual"] = _l2norm(res, dq)
     wf.metadata.update(meta)
     return wf
 
@@ -424,18 +427,14 @@ def wavefunction(
     wf = WavefunctionGrid(params, level, q, p, psi1, psi2, f, dq, c0)
     wf.normalize()
 
-    # residuals of the coupled pair, evaluated with an independent stencil
+    # residuals of the (normalized) coupled pair, evaluated with an
+    # independent stencil
     d4_1 = fd_derivative(wf.psi1, dq, order=4)
     d4_2 = fd_derivative(wf.psi2, dq, order=4)
     r2 = p * wf.psi1 + wt * d4_1 - (p0 + 1.0) * wf.psi2
     r1 = p * wf.psi2 - wt * d4_2 - (p0 - 1.0) * wf.psi1
-    norm = 1.0  # normalized above
-    wf.metadata["residual_coupled_1"] = float(
-        math.sqrt(float(np.sum(r1**2) * dq)) / norm
-    )
-    wf.metadata["residual_coupled_2"] = float(
-        math.sqrt(float(np.sum(r2**2) * dq)) / norm
-    )
+    wf.metadata["residual_coupled_1"] = _l2norm(r1, dq)
+    wf.metadata["residual_coupled_2"] = _l2norm(r2, dq)
     wf.metadata["eigenvalue"] = float(vals[0])
     wf.metadata["eigenvalue_closed_form"] = e_formula(params, qn.n, p0)
     wf.metadata["node_count"] = nodes

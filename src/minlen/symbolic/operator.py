@@ -37,9 +37,7 @@ class Op:
     @classmethod
     def mult(cls, f):
         """Multiplication operator by a Poly or Coef."""
-        c = Coef.of(f) if not isinstance(f, (int, Fraction)) else None
-        if c is None:
-            raise TypeError("use Op.mult(Poly/Coef)")
+        c = Coef.of(f)
         ring = c.ring
         return cls(ring, {(0,) * ring.nmom: c})
 
