@@ -44,7 +44,7 @@ class Ring:
             if val is not None:
                 self.subs[name] = Fraction(val)
         self._zero_exp = (0,) * self.nsym
-        self.momenta = [Poly.momentum(self, j) for j in range(self.nmom)]
+        self.momenta = tuple(Poly.momentum(self, j) for j in range(self.nmom))
         self.s = self.metric_square(self.momenta)
         self.w = self.w_of(self.s)
         self.w_is_one = self.w == Poly.one(self)
@@ -61,8 +61,8 @@ class Ring:
         return Poly.one(self) - self.param("beta") * s
 
     def g_numerator(self, s) -> "Poly":
-        """Numerator of the translation function g(s) = w^-2 times
-        2 beta - betap - (2 beta + betap) beta s."""
+        """2 beta - betap - (2 beta + betap) beta s, the numerator of the
+        translation function g(s) = numerator * w^-2."""
         beta = self.param("beta")
         betap = self.param("betap")
         return beta * 2 - betap - (beta * 2 + betap) * beta * s
@@ -126,9 +126,7 @@ class Poly:
     @classmethod
     def momentum(cls, ring, mu):
         """Contravariant momentum component p^mu (local index mu)."""
-        e = [0] * ring.nsym
-        e[ring.momentum_index(mu)] = 1
-        return cls(ring, {tuple(e): Fraction(1)})
+        return cls.symbol(ring, ring.names[ring.momentum_index(mu)])
 
     # ---- ring operations ----------------------------------------------
     def _coerce(self, other):
@@ -389,7 +387,7 @@ class Coef:
         if self.wpow == 0:
             return Coef(dnum)
         g = ring.metric[mu]
-        p_lower = Poly.momentum(ring, mu) * g  # p_mu = g_mu p^mu
+        p_lower = ring.momenta[mu] * g  # p_mu = g_mu p^mu
         extra = self.num * ring.param("beta") * p_lower * (2 * self.wpow)
         return Coef(dnum * ring.w + extra, self.wpow + 1)
 
