@@ -12,15 +12,11 @@ null; CSV keeps Python's nan/inf.
 from __future__ import annotations
 
 import json
-import math
+from math import isfinite
 
 
 def fmt_float(x: float) -> str:
     return format(float(x), ".16e")
-
-
-def _json_float(x: float) -> str:
-    return fmt_float(x) if math.isfinite(x) else "null"
 
 
 def _emit(obj, out: list):
@@ -33,7 +29,7 @@ def _emit(obj, out: list):
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
-        out.append(_json_float(obj))
+        out.append(fmt_float(obj) if isfinite(obj) else "null")
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, dict):
@@ -55,9 +51,11 @@ def _emit(obj, out: list):
     else:
         # numpy scalars and anything float-like
         try:
-            out.append(_json_float(float(obj)))
+            x = float(obj)
         except (TypeError, ValueError):
             out.append(json.dumps(str(obj)))
+        else:
+            out.append(fmt_float(x) if isfinite(x) else "null")
 
 
 def dumps_json(obj) -> str:
