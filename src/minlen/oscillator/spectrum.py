@@ -41,10 +41,7 @@ class DOParams:
     diagnostic: bool = False
 
     def __post_init__(self):
-        finite = math.isfinite(self.beta_tilde) and math.isfinite(
-            self.omega_tilde
-        )
-        if not finite:
+        if not all(map(math.isfinite, (self.beta_tilde, self.omega_tilde))):
             raise ValueError("beta_tilde and omega_tilde must be finite")
         if self.beta_tilde < 0:
             raise ValueError("beta_tilde must be nonnegative")
