@@ -303,6 +303,7 @@ class WavefunctionGrid:
         return out1, out2
 
     def csv_rows(self):
+        weights = self.weights  # one array, not one per row
         for i in range(self.q.size):
             yield (
                 float(self.p[i]),
@@ -310,7 +311,7 @@ class WavefunctionGrid:
                 float(self.psi1[i]),
                 float(self.psi2[i]),
                 float(self.f[i]),
-                float(self.weights[i]),
+                float(weights[i]),
             )
 
 
