@@ -75,6 +75,8 @@ def _merge_config(args: argparse.Namespace):
     if getattr(args, "config", None):
         cfg = _read_config(args.config)
         for key, val in cfg.items():
+            if key not in vars(args):
+                raise UsageError(f"unknown config key {key.replace('_', '-')}")
             if getattr(args, key, None) is None:
                 setattr(args, key, _coerce(val))
 
@@ -326,8 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="key = value config file")
         p.add_argument("--out-dir", dest="out_dir")
-        p.add_argument("--format", choices=["csv", "json"])
-        p.add_argument("--tol", type=float)
 
     p = sub.add_parser("verify-algebra", help="run symbolic identity suites")
     common(p)
@@ -348,6 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="tabulate the oscillator spectrum")
     common(p)
+    p.add_argument("--format", choices=["csv", "json"])
     p.add_argument("--beta-tilde", dest="beta_tilde", type=float)
     p.add_argument("--omega-tilde", dest="omega_tilde", type=float)
     p.add_argument("--n-max", dest="n_max", type=int)
@@ -356,6 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wavefunction", help="compute one spinor eigenstate")
     common(p)
+    p.add_argument("--format", choices=["csv", "json"])
+    p.add_argument("--tol", type=float)
     p.add_argument("--beta-tilde", dest="beta_tilde", type=float)
     p.add_argument("--omega-tilde", dest="omega_tilde", type=float)
     p.add_argument("--n", type=int)

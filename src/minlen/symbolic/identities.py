@@ -280,43 +280,80 @@ def verify_poincare(
     return rep
 
 
-def _primed_operators(ring, X, P, spec: TransformationSpec, tamper=()):
-    """X' = X + eps dX, P' = P + eps dP for a first-order transformation."""
+def _variations(ring, X, spec: TransformationSpec, tamper=()):
+    """The first-order variations dX^mu (operators) and dp^mu (momentum
+    polynomials; dP^mu is multiplication by dp^mu) of a transformation."""
     n = ring.nmom
-    eps = Poly.symbol(ring, "eps")
     g = ring.metric
     if spec.kind == "lorentz":
         dX = []
-        dP = []
+        dp = []
         for mu in range(n):
             dxm = Op.zero(ring)
-            dpm = Op.zero(ring)
+            dpm = Poly.zero(ring)
             for nu in range(n):
                 c = Fraction(g[mu] * spec.domega[mu][nu])  # domega^mu_nu
                 if c:
                     dxm = dxm + X[nu].scale(c)
-                    dpm = dpm + P[nu].scale(c)
-            dX.append(dxm.scale(eps))
-            dP.append(dpm.scale(eps))
+                    dpm = dpm + ring.momenta[nu] * c
+            dX.append(dxm)
+            dp.append(dpm)
+        return dX, dp
+    if "trans-gfun-wrong" in tamper:
+        gfun = Coef(ring.g_numerator(Poly.zero(ring)), 1)  # g(0) w^-1
     else:
-        if "trans-gfun-wrong" in tamper:
-            gfun = Coef(ring.g_numerator(Poly.zero(ring)), 1)  # g(0) w^-1
-        else:
-            gfun = translation_g(ring)
-        da_dot_p = Poly.zero(ring)
-        for nu in range(n):
-            da_dot_p = da_dot_p + Poly.momentum(ring, nu) * (
-                g[nu] * Fraction(spec.da[nu])
-            )
-        dX = []
-        dP = [Op.zero(ring)] * n
-        for mu in range(n):
-            c = Coef(Poly.const(ring, -Fraction(spec.da[mu])))
-            c = c - gfun * Coef(da_dot_p * Poly.momentum(ring, mu))
-            dX.append(Op.mult(c).scale(eps))
-    Xp = [X[mu] + dX[mu] for mu in range(n)]
-    Pp = [P[mu] + dP[mu] for mu in range(n)]
-    return Xp, Pp, dX, dP
+        gfun = translation_g(ring)
+    da_dot_p = Poly.zero(ring)
+    for nu in range(n):
+        da_dot_p = da_dot_p + ring.momenta[nu] * g[nu] * Fraction(spec.da[nu])
+    dX = []
+    for mu in range(n):
+        c = Coef(Poly.const(ring, -Fraction(spec.da[mu])))
+        c = c - gfun * Coef(da_dot_p * ring.momenta[mu])
+        dX.append(Op.mult(c))
+    return dX, [Poly.zero(ring)] * n
+
+
+def _first_order_residuals(ring, X, P, dX, dp) -> dict:
+    """O(delta) parts of the xp, xx and pp residuals under X -> X + dX,
+    P -> P + dP, keyed by (relation, mu, nu).
+
+    p, w = 1 - beta s and g(s) vary by dp, dw = -beta ds and
+    dg = -(2 beta + betap) beta ds, with ds = 2 sum_mu g_mu p^mu dp^mu.  The
+    O(1) parts are the residuals that verify_algebra checks.
+    """
+    n = ring.nmom
+    h = Poly.symbol(ring, "h")
+    p = ring.momenta
+    betap = ring.param("betap")
+    dP = [Op.mult(q) for q in dp]
+    zero = Poly.zero(ring)
+    ds = zero
+    for pj, qj, gj in zip(p, dp, ring.metric):
+        ds = ds + pj * qj * (2 * gj)
+    # w and g are affine in s, so each varies by its value at ds minus at 0
+    dw = ring.w_of(ds) - ring.w_of(zero)
+    dg = ring.g_numerator(ds) - ring.g_numerator(zero)
+    hg = Coef(h * ring.g_numerator(ring.s))
+    out = {}
+    for mu in range(n):
+        for nu in range(mu, n):
+            gmn = ring.metric[mu] if mu == nu else 0
+            rhs = h * (dw * gmn - betap * (dp[mu] * p[nu] + p[mu] * dp[nu]))
+            dxp = commutator(dX[mu], P[nu]) + commutator(X[mu], dP[nu])
+            out["xp", mu, nu] = dxp + Op.mult(rhs)
+    for mu, nu in combinations(range(n), 2):
+        dxx = commutator(dX[mu], X[nu]) + commutator(X[mu], dX[nu])
+        dpx = (dP[mu] @ X[nu]) + (P[mu] @ dX[nu])
+        dpx = dpx - (dP[nu] @ X[mu]) - (P[nu] @ dX[mu])
+        res = dxx.scale(ring.w) - dpx.scale(hg)
+        if ds:  # zero for every Lorentz and translation variation
+            res = res + _xx_residual(ring, X, P, dw, dg, mu, nu)
+        out["xx", mu, nu] = res
+    for mu, nu in combinations(range(n), 2):
+        dpp = commutator(dP[mu], P[nu]) + commutator(P[mu], dP[nu])
+        out["pp", mu, nu] = dpp
+    return out
 
 
 def verify_transformations(
@@ -327,7 +364,9 @@ def verify_transformations(
 ) -> VerificationReport:
     """Generator action and first-order invariance of the algebra.
 
-    By bilinearity in the transformation parameters, checking every
+    The invariance checks test only the O(delta) part of each primed
+    relation; its O(1) part is the algebra itself, which verify_algebra
+    checks.  By bilinearity in the transformation parameters, checking every
     elementary antisymmetric delta-omega and every elementary delta-a is
     equivalent to a fully symbolic parameter matrix.
     """
@@ -350,11 +389,12 @@ def verify_transformations(
     rep = VerificationReport("transformations")
 
     for si, spec in enumerate(specs):
-        Xp, Pp, dX, dP = _primed_operators(ring, X, P, spec, tamper)
+        dX, dp = _variations(ring, X, spec, tamper)
         tag = f"{spec.kind}-{si}"
         if spec.kind == "lorentz":
             # delta O^mu = [i/(2 hbar)] domega^{ab} [L_ab, O^mu]
             # cleared of 1/h:  sum_ab domega^{ab} [L_ab, O^mu] + 2h dO^mu = 0
+            dP = [Op.mult(q) for q in dp]
             for mu in range(n):
                 for ops, dops, sym in ((X, dX, "X"), (P, dP, "P")):
                     acc = Op.zero(ring)
@@ -366,10 +406,7 @@ def verify_transformations(
                         f"{tag}-gen-{sym}{mu}",
                         rf"\delta {sym}^{mu} = [i/(2\hbar)]\delta\omega^{{ab}}"
                         rf"[\hat L_{{ab}},{sym}^{mu}]",
-                        # dX carries one power of eps; strip it by comparing
-                        # eps * (generator side) with 2h * dO
-                        acc.scale(Poly.symbol(ring, "eps"))
-                        + dops[mu].scale(h * 2),
+                        acc + dops[mu].scale(h * 2),
                     )
         else:
             for mu in range(n):
@@ -381,7 +418,7 @@ def verify_transformations(
                 rep.record(
                     f"{tag}-gen-X{mu}",
                     rf"\delta X^{mu} = (i/\hbar)\delta a^a[\hat P_a,X^{mu}]",
-                    acc.scale(Poly.symbol(ring, "eps")) + dX[mu].scale(h),
+                    acc + dX[mu].scale(h),
                 )
                 for a in range(n):
                     if spec.da[a]:
@@ -391,32 +428,15 @@ def verify_transformations(
                             commutator(Phat[a], P[mu]),
                         )
 
-        # first-order invariance of the three defining relations, with
-        # p', w' = 1 - beta s' and g(s') in place of p, w and g(s)
-        pprimed = [op.terms[(0,) * n].num for op in Pp]
-        sp = ring.metric_square(pprimed)
-        wp = ring.w_of(sp)
-        gp = ring.g_numerator(sp)
-        for mu in range(n):
-            for nu in range(mu, n):
-                res = _xp_residual(ring, Xp, Pp, pprimed, wp, mu, nu)
-                rep.record(
-                    f"{tag}-inv-xp-{mu}{nu}",
-                    rf"[X'^{mu},P'^{nu}] invariant to O(\delta)",
-                    res.truncate_eps(2),
-                )
-        for mu, nu in combinations(range(n), 2):
-            res = _xx_residual(ring, Xp, Pp, wp, gp, mu, nu)
+        # first-order invariance of the three defining relations
+        for (rel, mu, nu), res in _first_order_residuals(
+            ring, X, P, dX, dp
+        ).items():
             rep.record(
-                f"{tag}-inv-xx-{mu}{nu}",
-                rf"[X'^{mu},X'^{nu}] invariant to O(\delta)",
-                res.truncate_eps(2),
-            )
-        for mu, nu in combinations(range(n), 2):
-            rep.record(
-                f"{tag}-inv-pp-{mu}{nu}",
-                rf"[P'^{mu},P'^{nu}] invariant to O(\delta)",
-                commutator(Pp[mu], Pp[nu]).truncate_eps(2),
+                f"{tag}-inv-{rel}-{mu}{nu}",
+                rf"[{rel[0].upper()}'^{mu},{rel[1].upper()}'^{nu}]"
+                rf" invariant to O(\delta)",
+                res,
             )
     return rep
 

@@ -109,11 +109,6 @@ class Op:
     def __hash__(self):
         return hash((self.ring, frozenset(self.terms.items())))
 
-    def truncate_eps(self, order: int) -> "Op":
-        return Op(
-            self.ring, {a: c.truncate_eps(order) for a, c in self.terms.items()}
-        )
-
     # ---- action on functions --------------------------------------------
     def apply(self, f) -> Coef:
         """Apply the operator to a scalar function (Poly or Coef)."""

@@ -1,11 +1,11 @@
 """Exact commutative coefficient ring for normal-ordered operators.
 
-Coefficients live in Q[h, beta, betap, gamma, eps, p0, ..., pD] localized at
+Coefficients live in Q[h, beta, betap, gamma, p0, ..., pD] localized at
 w = 1 - beta * s, where s = sum_mu g_mu (p^mu)^2 is the metric square of the
 momentum.  The symbol h stands for the single central element i*hbar (all
 identities handled here are polynomial in i*hbar, so i and hbar are never
-separated); eps is a bookkeeping symbol carrying first-order transformation
-parameters.
+separated).  A rational coefficient is stored as an int when it is integral
+and as a Fraction otherwise.
 
 A coefficient is a pair num * w^(-k).  Canonical form divides out every
 exact factor of w from num, which realizes the rewrite u * (1 - beta*s) -> 1
@@ -19,8 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-BASE_SYMBOLS = ("h", "beta", "betap", "gamma", "eps")
-EPS_INDEX = BASE_SYMBOLS.index("eps")
+BASE_SYMBOLS = ("h", "beta", "betap", "gamma")
 
 
 class Ring:
@@ -94,14 +93,18 @@ class Ring:
 
 
 class Poly:
-    """Multivariate polynomial with Fraction coefficients, stored as a map
-    from exponent tuples to coefficients."""
+    """Multivariate polynomial with rational (int or Fraction) coefficients,
+    stored as a map from exponent tuples to coefficients."""
 
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: Ring, terms: dict):
         self.ring = ring
-        self.terms = {e: c for e, c in terms.items() if c != 0}
+        self.terms = {
+            e: c.numerator if c.denominator == 1 else c
+            for e, c in terms.items()
+            if c
+        }
 
     # ---- constructors -------------------------------------------------
     @classmethod
@@ -114,14 +117,13 @@ class Poly:
 
     @classmethod
     def const(cls, ring, c):
-        c = Fraction(c)
-        return cls(ring, {ring._zero_exp: c} if c else {})
+        return cls(ring, {ring._zero_exp: Fraction(c)})
 
     @classmethod
     def symbol(cls, ring, name):
         e = [0] * ring.nsym
         e[ring.index[name]] = 1
-        return cls(ring, {tuple(e): Fraction(1)})
+        return cls(ring, {tuple(e): 1})
 
     @classmethod
     def momentum(cls, ring, mu):
@@ -142,7 +144,7 @@ class Poly:
             return NotImplemented
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out.get(e, 0) + c
         return Poly(self.ring, out)
 
     __radd__ = __add__
@@ -167,7 +169,7 @@ class Poly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+                out[e] = out.get(e, 0) + c1 * c2
         return Poly(self.ring, out)
 
     __rmul__ = __mul__
@@ -206,7 +208,7 @@ class Poly:
             e2 = list(e)
             e2[sym_index] = k - 1
             e2 = tuple(e2)
-            out[e2] = out.get(e2, Fraction(0)) + c * k
+            out[e2] = out.get(e2, 0) + c * k
         return Poly(self.ring, out)
 
     def eval(self, values: dict):
@@ -219,13 +221,6 @@ class Poly:
                     term *= Fraction(values[self.ring.names[i]]) ** k
             total += term
         return total
-
-    def truncate_eps(self, order: int) -> "Poly":
-        """Drop every monomial of eps-degree >= order."""
-        return Poly(
-            self.ring,
-            {e: c for e, c in self.terms.items() if e[EPS_INDEX] < order},
-        )
 
     def max_degree(self, sym_index: int) -> int:
         return max((e[sym_index] for e in self.terms), default=0)
@@ -252,13 +247,13 @@ class Poly:
             if any(m[i] < dl[i] for i in range(n)):
                 return None
             e = tuple(m[i] - dl[i] for i in range(n))
-            coef = c / dc
-            q[e] = q.get(e, Fraction(0)) + coef
+            coef = c // dc if not c % dc else Fraction(c, dc)
+            q[e] = q.get(e, 0) + coef
             for de, dcoef in d.terms.items():
                 if de == dl:
                     continue
                 me = tuple(e[i] + de[i] for i in range(n))
-                nc = rem.get(me, Fraction(0)) - coef * dcoef
+                nc = rem.get(me, 0) - coef * dcoef
                 if nc:
                     rem[me] = nc
                 else:
@@ -339,15 +334,22 @@ class Coef:
         if other is NotImplemented:
             return NotImplemented
         k = max(self.wpow, other.wpow)
-        w = self.ring.w
-        a = self.num * w ** (k - self.wpow)
-        b = other.num * w ** (k - other.wpow)
-        return Coef(a + b, k)
+        return Coef(self._lift(k) + other._lift(k), k)
+
+    def _lift(self, k):
+        """The numerator over the common denominator w^k, k >= wpow."""
+        if k == self.wpow:
+            return self.num
+        return self.num * self.ring.w ** (k - self.wpow)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Coef(-self.num, self.wpow)
+        # negation keeps the canonical form, so skip canonicalization
+        out = Coef.__new__(Coef)
+        out.num = -self.num
+        out.wpow = self.wpow
+        return out
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -396,10 +398,6 @@ class Coef:
         if wval == 0 and self.wpow:
             raise ZeroDivisionError("w vanishes at evaluation point")
         return self.num.eval(values) / wval ** self.wpow
-
-    def truncate_eps(self, order: int) -> "Coef":
-        # w carries no eps, so truncation acts on the numerator only
-        return Coef(self.num.truncate_eps(order), self.wpow)
 
     def __repr__(self):
         if self.wpow == 0:

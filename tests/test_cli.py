@@ -146,8 +146,24 @@ def test_exit_codes(tmp_path):
         (["spectrum"] + config("k11.cfg", "beta-tilde = 0.5\nomega-tilde = inf\n")
          + out("k11"), 2),
     ]
+    # a config key or flag the subcommand does not define is a usage error,
+    # never silently ignored
+    cases += [
+        (["spectrum"] + config("k12.cfg", osc + "n-mx = 2\n") + out("k12"), 2),
+        (["verify-algebra"] + config("k13.cfg", "format = csv\n")
+         + out("k13"), 2),
+        (["spectrum"] + config("k14.cfg", osc + "tol = 1e-3\n")
+         + out("k14"), 2),
+    ]
     for args, expected in cases:
         assert run(args) == expected, args
+    for args in (
+        ["verify-algebra", "--dims", "1", "--format", "csv"] + out("f1"),
+        SPECTRUM_OK + ["--tol", "1e-3"] + out("f2"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(args)
+        assert exc.value.code == 2, args
 
 
 def test_usage_error_is_one_line(tmp_path, capsys):

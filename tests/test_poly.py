@@ -118,14 +118,38 @@ def test_eval_matches_structure(a):
     assert a.eval(vals) == total
 
 
-def test_truncate_eps():
+def assert_exact_coefficients(a):
+    for c in a.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+@given(polys(), polys(), st.integers(1, 12))
+@settings(max_examples=60)
+def test_coefficients_are_int_or_proper_fraction(a, b, k):
+    ring = a.ring
+    i = ring.momentum_index(0)
+    results = [a + b, a - b, a * b, a.diff(i), (a * ring.w).exact_div(ring.w)]
+    results.append(a.exact_div(Poly.const(ring, k)))
+    if b:
+        results.append((a * b).exact_div(b))
+    for r in results:
+        assert_exact_coefficients(r)
+
+
+def test_exact_div_fractional_quotient():
     ring = mink_ring(1)
-    eps = Poly.symbol(ring, "eps")
-    h = Poly.symbol(ring, "h")
-    q = h + eps * h + eps * eps * 3
-    assert q.truncate_eps(2) == h + eps * h
-    assert q.truncate_eps(1) == h
-    assert q.truncate_eps(3) == q
+    p0 = Poly.momentum(ring, 0)
+    q = (2 * (3 * p0 + 1)).exact_div(Poly.const(ring, 4))
+    assert q == p0 * Fraction(3, 2) + Fraction(1, 2)
+    assert_exact_coefficients(q)
+    assert_exact_coefficients(q * 2)  # 3 p0 + 1, back to ints
+
+
+def test_integral_fraction_is_stored_as_int():
+    ring = mink_ring(1)
+    a, b = Poly.const(ring, Fraction(4, 2)), Poly.const(ring, 2)
+    assert a == b and hash(a) == hash(b)
+    assert type(a.terms[ring._zero_exp]) is int
 
 
 # ---- Coef ------------------------------------------------------------------
@@ -147,6 +171,15 @@ def test_coef_undeformed_ring_drops_w():
     ring = mink_ring(2, beta=0)
     c = Coef(Poly.momentum(ring, 0), 4)
     assert c.wpow == 0
+
+
+def test_coef_negation_is_canonical():
+    ring = mink_ring(1)
+    num = Poly.symbol(ring, "h") * Poly.momentum(ring, 0) + 3
+    for k in range(3):
+        assert -Coef(num, k) == Coef(-num, k)
+    # a numerator that still carries w factors
+    assert -Coef(num * ring.w, 2) == Coef(-num, 1)
 
 
 def test_coef_addition_common_denominator():
@@ -186,7 +219,6 @@ def test_coef_eval_matches_rational_function():
         "beta": Fraction(1, 4),
         "betap": Fraction(0),
         "gamma": Fraction(0),
-        "eps": Fraction(0),
         "p0": Fraction(2),
         "p1": Fraction(1),
     }
@@ -201,7 +233,6 @@ def test_coef_eval_singular_point():
         "beta": Fraction(1, 3),
         "betap": Fraction(0),
         "gamma": Fraction(0),
-        "eps": Fraction(0),
         "p0": Fraction(2),
         "p1": Fraction(1),
     }
