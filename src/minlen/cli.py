@@ -5,8 +5,10 @@ Every run writes a machine-readable report.json (plus the requested
 artifact files) into --out-dir with fixed float formatting and ordering, so
 identical configurations produce byte-identical outputs.  Exit status: 0
 when all requested checks pass, 1 on check failure, 2 on usage errors.
-Options may come from a line-oriented `key = value` config file
-(--config); explicit flags win on conflict.
+argparse reads every option.  The lines of a `key = value` config file
+(--config) become `--key=value` flags placed before the explicit ones, so
+explicit flags win on conflict.  Switches take `true` or `false`, flag
+names must be spelt in full, and every usage error is one `error:` line.
 """
 
 from __future__ import annotations
@@ -41,8 +43,16 @@ class UsageError(Exception):
     pass
 
 
-def _read_config(path: str) -> dict:
-    cfg = {}
+class _Parser(argparse.ArgumentParser):
+    """Reports every parse error as a UsageError; subparsers inherit it."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _read_config(path: str) -> list:
+    """The config file's `key = value` lines as `--key=value` tokens."""
+    tokens = []
     try:
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
@@ -54,60 +64,44 @@ def _read_config(path: str) -> dict:
                         f"{path}:{lineno}: expected 'key = value'"
                     )
                 key, val = line.split("=", 1)
-                cfg[key.strip().replace("-", "_")] = val.strip()
+                key = key.strip().replace("_", "-")
+                tokens.append(f"--{key}={val.strip()}")
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}")
-    return cfg
+    return tokens
 
 
-def _coerce(val: str):
-    for cast in (int, float):
-        try:
-            return cast(val)
-        except ValueError:
-            pass
-    if val.lower() in ("true", "false"):
-        return val.lower() == "true"
-    return val
+def _with_config(argv: list) -> list:
+    """argv with the --config file's tokens right after the subcommand, so
+    that the explicit flags, parsed later, win."""
+    pre = _Parser(add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return argv
+    return argv[:1] + _read_config(path) + argv[1:]
 
 
-def _merge_config(args: argparse.Namespace):
-    if getattr(args, "config", None):
-        cfg = _read_config(args.config)
-        for key, val in cfg.items():
-            if key not in vars(args):
-                raise UsageError(f"unknown config key {key.replace('_', '-')}")
-            if getattr(args, key, None) is None:
-                setattr(args, key, _coerce(val))
+def _checked(cast, valid, what: str):
+    """An argparse type: `cast` of the text, rejected unless `valid`."""
+
+    def parse(text):
+        val = cast(text)
+        if not valid(val):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return val
+
+    parse.__name__ = cast.__name__
+    return parse
 
 
-def _flag(name: str) -> str:
-    return "--" + name.replace("_", "-")
+_COUNT = _checked(int, lambda v: v >= 0, "an integer >= 0")
 
 
-def _require(args, *names):
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise UsageError(f"missing required option {_flag(name)}")
-
-
-def _option(args, name: str, default, valid, what: str):
-    """A flag or config value, `default` when absent; a value that fails
-    `valid` is a usage error, never replaced by the default."""
-    val = getattr(args, name, None)
-    if val is None:
-        return default
-    if isinstance(val, bool) or not valid(val):
-        raise UsageError(f"{_flag(name)} must be {what}, got {val!r}")
-    return val
-
-
-def _int_option(args, name: str, default: int, minimum: int) -> int:
-    return _option(
-        args, name, default,
-        lambda v: isinstance(v, int) and v >= minimum,
-        f"an integer >= {minimum}",
-    )
+def _switch(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise argparse.ArgumentTypeError(f"must be true or false, got {text!r}")
+    return text == "true"
 
 
 def _outdir(args) -> str:
@@ -119,42 +113,26 @@ def _outdir(args) -> str:
 def _write_table(args, stem: str, header, rows):
     """Artifact stem.csv, or stem.json as a list of row objects."""
     path = os.path.join(_outdir(args), stem)
-    fmt = args.format or "json"
-    if fmt == "csv":
+    if args.format == "csv":
         write_csv(path + ".csv", header, rows)
-    elif fmt == "json":
-        write_json(path + ".json", [dict(zip(header, r)) for r in rows])
     else:
-        raise UsageError(f"unknown format {fmt!r}")
+        write_json(path + ".json", [dict(zip(header, r)) for r in rows])
 
 
 def _oscillator(beta_tilde, omega_tilde, diagnostic=False) -> DOParams:
     """DOParams whose invalid values are usage errors (beta_tilde >= 1
     outside diagnostic mode stays a check failure)."""
     try:
-        return DOParams(
-            beta_tilde=float(beta_tilde),
-            omega_tilde=float(omega_tilde),
-            diagnostic=diagnostic,
-        )
+        return DOParams(beta_tilde, omega_tilde, diagnostic=diagnostic)
     except UnphysicalDeformationError:
         raise
     except ValueError as exc:
         raise UsageError(str(exc))
 
 
-def _doparams(args) -> DOParams:
-    _require(args, "beta_tilde", "omega_tilde")
-    return _oscillator(
-        args.beta_tilde,
-        args.omega_tilde,
-        bool(getattr(args, "diagnostic", False)),
-    )
-
-
 def _grid(args) -> GridSpec:
     try:
-        return GridSpec(_int_option(args, "grid_size", 4001, 1))
+        return GridSpec(args.grid_size)
     except ValueError as exc:
         raise UsageError(str(exc))
 
@@ -165,8 +143,7 @@ def _grid(args) -> GridSpec:
 
 
 def cmd_verify_algebra(args):
-    dims = _int_option(args, "dims", 3, 1)
-    case = args.case or "all"
+    dims, case = args.dims, args.case
     st = Spacetime(dims)
     suites = []
     if case in ("all", "algebra"):
@@ -182,8 +159,6 @@ def cmd_verify_algebra(args):
                 c for c in red.checks if c.identity_id.startswith(case)
             ]
         suites.append(red)
-    if not suites:
-        raise UsageError(f"unknown case {case!r}")
     passed = all(s.passed for s in suites)
     report = {
         "dims": dims,
@@ -195,16 +170,15 @@ def cmd_verify_algebra(args):
 
 
 def cmd_spectrum(args):
-    params = _doparams(args)
-    n_max = _int_option(args, "n_max", 10, 0)
-    table = spectrum_table(params, n_max)
+    params = _oscillator(args.beta_tilde, args.omega_tilde, args.diagnostic)
+    table = spectrum_table(params, args.n_max)
     header = ["n", "tau", "K", "p0_tilde", "e_n", "E_over_mc2"]
     _write_table(args, "spectrum", header, list(table.rows()))
     flagged = table.unphysical_decrease
     report = {
         "beta_tilde": params.beta_tilde,
         "omega_tilde": params.omega_tilde,
-        "n_max": n_max,
+        "n_max": args.n_max,
         "levels": len(table.levels),
         "unphysical_decrease": flagged,
         "passed": not flagged,
@@ -213,20 +187,12 @@ def cmd_spectrum(args):
 
 
 def cmd_wavefunction(args):
-    params = _doparams(args)
-    _require(args, "n")
-    n = _int_option(args, "n", 0, 0)
-    tau = args.tau if args.tau is not None else 1
+    params = _oscillator(args.beta_tilde, args.omega_tilde)
     try:
-        qn = QuantumNumber(n, int(tau))
+        qn = QuantumNumber(args.n, args.tau)
     except ValueError as exc:
         raise UsageError(str(exc))
     grid = _grid(args)
-    tol = float(_option(
-        args, "tol", 1e-6,
-        lambda v: isinstance(v, (int, float)) and 0 < v < math.inf,
-        "a positive finite number",
-    ))
     wf = wavefunction(params, qn, grid)
     stem = f"wavefunction_n{qn.n}_tau{'p' if qn.tau > 0 else 'm'}"
     header = ["p_tilde", "q", "psi1", "psi2", "f", "weight"]
@@ -234,7 +200,7 @@ def cmd_wavefunction(args):
     res = max(
         wf.metadata["residual_coupled_1"], wf.metadata["residual_coupled_2"]
     )
-    passed = res <= tol and abs(wf.norm_squared() - 1.0) <= 1e-8
+    passed = res <= args.tol and abs(wf.norm_squared() - 1.0) <= 1e-8
     report = {
         "beta_tilde": params.beta_tilde,
         "omega_tilde": params.omega_tilde,
@@ -244,19 +210,18 @@ def cmd_wavefunction(args):
         "residual_coupled_1": wf.metadata["residual_coupled_1"],
         "residual_coupled_2": wf.metadata["residual_coupled_2"],
         "norm_squared": wf.norm_squared(),
-        "tol": tol,
+        "tol": args.tol,
         "passed": passed,
     }
     return report, 0 if passed else 1
 
 
 def cmd_uncertainty(args):
-    params = _doparams(args)
-    n_max = _int_option(args, "n_max", 5, 0)
+    params = _oscillator(args.beta_tilde, args.omega_tilde)
     grid = _grid(args)
     records = []
     ok = True
-    for n in range(n_max + 1):
+    for n in range(args.n_max + 1):
         wf = wavefunction(params, QuantumNumber(n, 1), grid)
         rec = uncertainty_report(wf, params)
         # quadrature-scale tolerance on the inequality
@@ -267,28 +232,26 @@ def cmd_uncertainty(args):
     report = {
         "beta_tilde": params.beta_tilde,
         "omega_tilde": params.omega_tilde,
-        "n_max": n_max,
+        "n_max": args.n_max,
         "passed": ok,
     }
     return report, 0 if ok else 1
 
 
 def cmd_limits(args):
-    _require(args, "beta_values", "omega_tilde")
     try:
-        betas = [float(b) for b in str(args.beta_values).split(",") if b]
+        betas = [float(b) for b in args.beta_values.split(",") if b]
     except ValueError:
         raise UsageError("beta-values must be a comma-separated float list")
     if not betas:
         raise UsageError("beta-values is empty")
     all_params = [_oscillator(bt, args.omega_tilde) for bt in betas]
     wt = all_params[0].omega_tilde
-    n_max = _int_option(args, "n_max", 20, 0)
     rows = []
     devs = []
     for params in all_params:
         bt = params.beta_tilde
-        ns = np.arange(n_max + 1)
+        ns = np.arange(args.n_max + 1)
         p0 = np.array(
             [p0_allowed(params, QuantumNumber(int(n), 1)) for n in ns]
         )
@@ -304,7 +267,7 @@ def cmd_limits(args):
     passed = linear if args.expect_linear else True
     report = {
         "omega_tilde": wt,
-        "n_max": n_max,
+        "n_max": args.n_max,
         "rows": [
             {"beta_tilde": b, "max_abs_deviation": d, "ratio_to_previous": r}
             for b, d, r in rows
@@ -319,19 +282,28 @@ def cmd_limits(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="minlen",
         description="Deformed-algebra verification and Dirac oscillator tools",
+        allow_abbrev=False,
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.add_argument("--config", help="key = value config file")
-        p.add_argument("--out-dir", dest="out_dir")
+        p.add_argument("--out-dir")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("verify-algebra", help="run symbolic identity suites")
-    common(p)
-    p.add_argument("--dims", type=int)
+    def oscillator(p):
+        p.add_argument("--beta-tilde", type=float, required=True)
+        p.add_argument("--omega-tilde", type=float, required=True)
+
+    p = command("verify-algebra", cmd_verify_algebra,
+                "run symbolic identity suites")
+    p.add_argument("--dims", default=3, type=_checked(
+        int, lambda v: v >= 1, "an integer >= 1"))
     p.add_argument(
         "--case",
         choices=[
@@ -343,53 +315,46 @@ def build_parser() -> argparse.ArgumentParser:
             "snyder",
             "kempf",
         ],
+        default="all",
     )
-    p.set_defaults(func=cmd_verify_algebra)
 
-    p = sub.add_parser("spectrum", help="tabulate the oscillator spectrum")
-    common(p)
-    p.add_argument("--format", choices=["csv", "json"])
-    p.add_argument("--beta-tilde", dest="beta_tilde", type=float)
-    p.add_argument("--omega-tilde", dest="omega_tilde", type=float)
-    p.add_argument("--n-max", dest="n_max", type=int)
-    p.add_argument("--diagnostic", action="store_true")
-    p.set_defaults(func=cmd_spectrum)
+    p = command("spectrum", cmd_spectrum, "tabulate the oscillator spectrum")
+    p.add_argument("--format", choices=["csv", "json"], default="json")
+    oscillator(p)
+    p.add_argument("--n-max", type=_COUNT, default=10)
+    p.add_argument("--diagnostic", type=_switch, nargs="?", const=True,
+                   default=False)
 
-    p = sub.add_parser("wavefunction", help="compute one spinor eigenstate")
-    common(p)
-    p.add_argument("--format", choices=["csv", "json"])
-    p.add_argument("--tol", type=float)
-    p.add_argument("--beta-tilde", dest="beta_tilde", type=float)
-    p.add_argument("--omega-tilde", dest="omega_tilde", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--tau", type=int, choices=[1, -1])
-    p.add_argument("--grid-size", dest="grid_size", type=int)
-    p.set_defaults(func=cmd_wavefunction)
+    p = command("wavefunction", cmd_wavefunction,
+                "compute one spinor eigenstate")
+    p.add_argument("--format", choices=["csv", "json"], default="json")
+    p.add_argument("--tol", default=1e-6, type=_checked(
+        float, lambda v: 0 < v < math.inf, "a positive finite number"))
+    oscillator(p)
+    p.add_argument("--n", type=_COUNT, required=True)
+    p.add_argument("--tau", type=int, choices=[1, -1], default=1)
+    p.add_argument("--grid-size", type=int, default=4001)
 
-    p = sub.add_parser("uncertainty", help="uncertainty products per level")
-    common(p)
-    p.add_argument("--beta-tilde", dest="beta_tilde", type=float)
-    p.add_argument("--omega-tilde", dest="omega_tilde", type=float)
-    p.add_argument("--n-max", dest="n_max", type=int)
-    p.add_argument("--grid-size", dest="grid_size", type=int)
-    p.set_defaults(func=cmd_uncertainty)
+    p = command("uncertainty", cmd_uncertainty,
+                "uncertainty products per level")
+    oscillator(p)
+    p.add_argument("--n-max", type=_COUNT, default=5)
+    p.add_argument("--grid-size", type=int, default=4001)
 
-    p = sub.add_parser("limits", help="undeformed-limit convergence study")
-    common(p)
-    p.add_argument("--beta-values", dest="beta_values")
-    p.add_argument("--omega-tilde", dest="omega_tilde", type=float)
-    p.add_argument("--n-max", dest="n_max", type=int)
-    p.add_argument("--expect-linear", action="store_true")
-    p.set_defaults(func=cmd_limits)
+    p = command("limits", cmd_limits, "undeformed-limit convergence study")
+    p.add_argument("--beta-values", required=True)
+    p.add_argument("--omega-tilde", type=float, required=True)
+    p.add_argument("--n-max", type=_COUNT, default=20)
+    p.add_argument("--expect-linear", type=_switch, nargs="?", const=True,
+                   default=False)
 
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        _merge_config(args)
+        args = build_parser().parse_args(_with_config(argv))
         report, code = args.func(args)
         report = {"command": args.command, **report}
         write_json(os.path.join(_outdir(args), "report.json"), report)

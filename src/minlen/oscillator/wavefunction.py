@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -51,13 +50,10 @@ class DiagnosticModeError(ValueError):
 @dataclass(frozen=True)
 class GridSpec:
     size: int = 4001
-    refinements: int = 2
 
     def __post_init__(self):
         if self.size < 64:
             raise ValueError("grid size must be at least 64")
-        if self.refinements < 0:
-            raise ValueError("refinements must be nonnegative")
 
 
 # wavefunction grids share one box (bt = 0) so that different levels of
@@ -117,12 +113,9 @@ def lowest_eigenvalues(
     k: int,
     npts: int,
     partner: bool = False,
-    k_hint: Optional[int] = None,
 ):
     """k lowest eigenvalues of B+B- (or of the partner B-B+)."""
-    q, p, f, dq, _ = flat_grid(
-        params, p0_tilde, npts, k_hint=k_hint or (k + 4)
-    )
+    q, p, f, dq, _ = flat_grid(params, p0_tilde, npts, k_hint=k + 4)
     diag, off = _ladder_tridiagonal(params.omega_tilde, p, f, dq, partner)
     vals = eigh_tridiagonal(
         diag, off, select="i", select_range=(0, k - 1), eigvals_only=True

@@ -85,7 +85,9 @@ class Op:
                     mult = 1
                     for ai, ki in zip(a, k):
                         mult *= comb(ai, ki)
-                    coef = ca * dk(k) * mult
+                    coef = ca * dk(k)
+                    if mult != 1:
+                        coef = coef * mult
                     if coef.is_zero:
                         continue
                     e = tuple(ai - ki + bi for ai, ki, bi in zip(a, k, b))

@@ -222,9 +222,6 @@ class Poly:
             total += term
         return total
 
-    def max_degree(self, sym_index: int) -> int:
-        return max((e[sym_index] for e in self.terms), default=0)
-
     # ---- division ------------------------------------------------------
     def exact_div(self, d: "Poly"):
         """Return q with self == q * d, or None if d does not divide self.

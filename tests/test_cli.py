@@ -1,6 +1,10 @@
 """Command-line interface: determinism, exit codes, config handling."""
 
+import contextlib
+import io
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -161,30 +165,60 @@ def test_exit_codes(tmp_path):
         ["verify-algebra", "--dims", "1", "--format", "csv"] + out("f1"),
         SPECTRUM_OK + ["--tol", "1e-3"] + out("f2"),
     ):
-        with pytest.raises(SystemExit) as exc:
-            run(args)
-        assert exc.value.code == 2, args
+        assert one_usage_error(args), args
+
+
+def one_usage_error(args):
+    """main returns 2 and writes exactly one stderr line, an `error:` one."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(args)
+    text = err.getvalue()
+    return code == 2 and text.startswith("error: ") and text.count("\n") == 1
 
 
 def test_usage_error_is_one_line(tmp_path, capsys):
     assert run(["verify-algebra", "--dims", "0",
                 "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: --dims") and err.count("\n") == 1
+    assert err.startswith("error: argument --dims") and err.count("\n") == 1
     # nothing ran, so nothing was written
     assert not os.path.exists(tmp_path / "report.json")
 
 
 def test_unknown_subcommand_is_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        run(["frobnicate"])
-    assert exc.value.code == 2
+    assert one_usage_error(["frobnicate"])
 
 
 def test_unknown_flag_is_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        run(["spectrum", "--frobnicate"])
-    assert exc.value.code == 2
+    assert one_usage_error(["spectrum", "--frobnicate"])
+
+
+def test_malformed_flag_value_is_one_line(tmp_path):
+    assert one_usage_error(["spectrum", "--beta-tilde", "0.5",
+                            "--omega-tilde", "1.0", "--n-max", "abc",
+                            "--out-dir", str(tmp_path)])
+
+
+def test_abbreviated_flag_is_usage_error(tmp_path):
+    assert one_usage_error(["spectrum", "--beta", "0.5", "--omega", "1",
+                            "--n-ma", "2", "--out-dir", str(tmp_path)])
+    assert one_usage_error(SPECTRUM_OK[:-2] + [
+        "--n-ma", "2", "--out-dir", str(tmp_path)])
+
+
+def test_console_entry_usage_error():
+    """The `sys.exit(main())` path: exit status 2, one stderr line."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "minlen.cli", "spectrum", "--n-max", "abc"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 # ---- config files -----------------------------------------------------------
@@ -232,3 +266,48 @@ def test_config_matches_flag_run_bytewise(tmp_path):
     assert run(["spectrum", "--config", str(cfg), "--out-dir", d1]) == 0
     assert run(SPECTRUM_OK + ["--format", "csv", "--out-dir", d2]) == 0
     assert read(d1 + "/spectrum.csv") == read(d2 + "/spectrum.csv")
+
+
+# ---- config values are read by the flag parser -------------------------------
+
+
+LIMITS_RATIO_MISS = "beta-values = 1e-3,5e-4\nomega-tilde = 0.7\n"
+REFUSED = "beta-tilde = 1.5\nomega-tilde = 1.0\n"
+WF_CFG = "beta-tilde = 0.5\nomega-tilde = 1.0\nn = 1\ngrid-size = 2001\n"
+
+
+def config_run(tmp_path, command, text, name="run"):
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(text)
+    return run([command, "--config", str(cfg),
+                "--out-dir", str(tmp_path / name)])
+
+
+def test_config_expect_linear_matches_flag(tmp_path):
+    assert config_run(tmp_path, "limits",
+                      LIMITS_RATIO_MISS + "expect-linear = true\n", "a") == 1
+    assert run(["limits", "--beta-values", "1e-3,5e-4", "--omega-tilde",
+                "0.7", "--expect-linear",
+                "--out-dir", str(tmp_path / "b")]) == 1
+    assert config_run(tmp_path, "limits",
+                      LIMITS_RATIO_MISS + "expect-linear = false\n", "c") == 0
+
+
+def test_config_diagnostic_matches_flag(tmp_path):
+    assert config_run(tmp_path, "spectrum",
+                      REFUSED + "diagnostic = true\n", "a") == 0
+    assert run(["spectrum", "--beta-tilde", "1.5", "--omega-tilde", "1.0",
+                "--diagnostic", "--out-dir", str(tmp_path / "b")]) == 0
+    assert config_run(tmp_path, "spectrum", REFUSED, "c") == 1
+
+
+@pytest.mark.parametrize("command, text", [
+    ("wavefunction", WF_CFG + "tau = 1.5\n"),
+    ("limits", "beta-values = 1e-3\nomega-tilde = true\n"),
+    ("spectrum", "beta-tilde = true\nomega-tilde = 1.0\n"),
+    ("limits", LIMITS_RATIO_MISS + "expect-linear = maybe\n"),
+    # config keys are spelt in full: `n` does not abbreviate `n-max`
+    ("spectrum", "beta-tilde = 0.5\nomega-tilde = 1.0\nn = 2\n"),
+], ids=["tau-1.5", "omega-true", "beta-true", "switch-maybe", "key-n"])
+def test_config_value_is_usage_error(tmp_path, command, text):
+    assert config_run(tmp_path, command, text) == 2

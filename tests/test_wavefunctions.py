@@ -32,8 +32,6 @@ GRID = GridSpec(2001)
 def test_gridspec_validation():
     with pytest.raises(ValueError):
         GridSpec(10)
-    with pytest.raises(ValueError):
-        GridSpec(100, refinements=-1)
 
 
 def test_flat_grid_singular_measure():
