@@ -104,15 +104,9 @@ def _switch(text: str) -> bool:
     return text == "true"
 
 
-def _outdir(args) -> str:
-    out = args.out_dir or "."
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def _write_table(args, stem: str, header, rows):
     """Artifact stem.csv, or stem.json as a list of row objects."""
-    path = os.path.join(_outdir(args), stem)
+    path = os.path.join(args.out_dir, stem)
     if args.format == "csv":
         write_csv(path + ".csv", header, rows)
     else:
@@ -197,18 +191,19 @@ def cmd_wavefunction(args):
     stem = f"wavefunction_n{qn.n}_tau{'p' if qn.tau > 0 else 'm'}"
     header = ["p_tilde", "q", "psi1", "psi2", "f", "weight"]
     _write_table(args, stem, header, wf.csv_rows())
-    res = max(
-        wf.metadata["residual_coupled_1"], wf.metadata["residual_coupled_2"]
-    )
-    passed = res <= args.tol and abs(wf.norm_squared() - 1.0) <= 1e-8
+    meta = wf.metadata
+    worst = max(meta["residual_coupled_1"], meta["residual_coupled_2"],
+                meta["quadrature_error"])
+    passed = worst <= args.tol and abs(wf.norm_squared() - 1.0) <= 1e-8
     report = {
         "beta_tilde": params.beta_tilde,
         "omega_tilde": params.omega_tilde,
         "n": qn.n,
         "tau": qn.tau,
         "grid_size": grid.size,
-        "residual_coupled_1": wf.metadata["residual_coupled_1"],
-        "residual_coupled_2": wf.metadata["residual_coupled_2"],
+        "residual_coupled_1": meta["residual_coupled_1"],
+        "residual_coupled_2": meta["residual_coupled_2"],
+        "quadrature_error": meta["quadrature_error"],
         "norm_squared": wf.norm_squared(),
         "tol": args.tol,
         "passed": passed,
@@ -224,11 +219,11 @@ def cmd_uncertainty(args):
     for n in range(args.n_max + 1):
         wf = wavefunction(params, QuantumNumber(n, 1), grid)
         rec = uncertainty_report(wf, params)
-        # quadrature-scale tolerance on the inequality
+        # rounding-scale tolerance on the inequality; a nan slack (bt wt
+        # >= 2, where dX and dP diverge) fails
         ok = ok and rec["slack"] >= -1e-10
         records.append(rec)
-    out = _outdir(args)
-    write_json(os.path.join(out, "uncertainty.json"), records)
+    write_json(os.path.join(args.out_dir, "uncertainty.json"), records)
     report = {
         "beta_tilde": params.beta_tilde,
         "omega_tilde": params.omega_tilde,
@@ -261,8 +256,7 @@ def cmd_limits(args):
         ratio = devs[-2] / dev if len(devs) > 1 and dev > 0 else float("nan")
         rows.append((bt, dev, ratio))
     header = ["beta_tilde", "max_abs_deviation", "ratio_to_previous"]
-    out = _outdir(args)
-    write_csv(os.path.join(out, "limits.csv"), header, rows)
+    write_csv(os.path.join(args.out_dir, "limits.csv"), header, rows)
     linear = all(8.0 <= r <= 12.0 for _, _, r in rows[1:])
     passed = linear if args.expect_linear else True
     report = {
@@ -292,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, func, help):
         p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.add_argument("--config", help="key = value config file")
-        p.add_argument("--out-dir")
+        p.add_argument("--out-dir", default=".")
         p.set_defaults(func=func)
         return p
 
@@ -355,9 +349,13 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = build_parser().parse_args(_with_config(argv))
+        try:
+            os.makedirs(args.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise UsageError(f"cannot create --out-dir: {exc}")
         report, code = args.func(args)
         report = {"command": args.command, **report}
-        write_json(os.path.join(_outdir(args), "report.json"), report)
+        write_json(os.path.join(args.out_dir, "report.json"), report)
         return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,37 +1,39 @@
-"""Wavefunctions and the independent discretized eigenproblem for the
-deformed Dirac oscillator.
+"""Spinor states of the deformed Dirac oscillator in closed form, and the
+finite-difference eigenproblem that checks them independently.
 
-The ladder factorization B+ B- is diagonalized in the flat coordinate
+The flat coordinate q(p) = (bt c0)^(-1/2) arctan(sqrt(bt/c0) p), with
+c0 = 1 - bt p0^2, turns the measure dp/f into dq and compactifies the
+domain to |q| < (pi/2)(bt c0)^(-1/2).  With u = sqrt(bt c0) q and
+lam = 1/(bt wt) the states are exactly (Kempf, Mangano & Mann, PRD 52
+(1995) 1108; Chang et al., PRD 65 (2002) 125027)
 
-    q(p) = (bt c0)^(-1/2) arctan(sqrt(bt/c0) p),   c0 = 1 - bt p0^2,
+    psi1 = cos^lam(u) C_n^lam(sin u),
+    psi2 = B- psi1/(p0 + 1)
+         = 2 sqrt(c0/bt) cos^(lam+1)(u) C_(n-1)^(lam+1)(sin u)/(p0 + 1),
 
-which turns the measure dp/f into dq, compactifies the domain to
-(-q_max, q_max) with q_max = (pi/2)(bt c0)^(-1/2), and brings the operator
-to the manifestly self-adjoint Schroedinger form
-
-    B+ B- = -wt^2 d^2/dq^2 + p(q)^2 - wt f(p(q)),
-
-discretized with symmetric second-order central differences and Dirichlet
-truncation; Richardson extrapolation across refinements upgrades the
-eigenvalues.  For bt = 0 the map degenerates to the identity and a large
-box replaces the compact interval.
+with Gegenbauer polynomials C; for bt = 0 they are the Hermite functions
+of y = p/sqrt(wt).  `wavefunction` samples them on a uniform q grid.  The
+discretized B+ B- = -wt^2 d^2/dq^2 + p(q)^2 - wt f(p(q)) of
+`eigensolve_factorized` and the stencils of `fd_derivative` and
+`ladder_apply` do not produce the states: they are the independent
+finite-difference oracle the tests compare against.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import eigh_tridiagonal
+from scipy.special import poch
 
 from .spectrum import (
     AcceptabilityError,
     DOParams,
     QuantumNumber,
     SpectrumLevel,
-    e_formula,
     make_level,
     p0_allowed,
 )
@@ -56,46 +58,34 @@ class GridSpec:
             raise ValueError("grid size must be at least 64")
 
 
-# wavefunction grids share one box (bt = 0) so that different levels of
-# the same oscillator land on identical nodes
-FIXED_K_HINT = 12
+def _box_halfwidth(omega_tilde: float, n: int) -> float:
+    # Gaussian tail exp(-L^2/(2 wt)) below 1e-14 beyond the turning point
+    # of the n-th Hermite level
+    return math.sqrt(omega_tilde) * (math.sqrt(2.0 * n + 1.0) + 9.0)
 
 
-def _box_halfwidth(omega_tilde: float, k_hint: int) -> float:
-    # Gaussian tail exp(-L^2/(2 wt)) below 1e-14 with headroom for the
-    # k_hint-th Hermite level
-    return math.sqrt(omega_tilde) * (math.sqrt(2.0 * k_hint + 1.0) + 9.0)
+def flat_grid(params: DOParams, p0_tilde: float, npts: int, n: int = 8):
+    """Interior nodes of the flat coordinate; returns (q, p, f, dq, c0).
 
-
-def flat_grid(params: DOParams, p0_tilde: float, npts: int, k_hint: int = 8):
-    """Interior nodes of the flat coordinate; returns (q, p, f, dq, c0)."""
+    The nodes are mirror-symmetric to the last bit (q = -q[::-1], and the
+    centre node of an odd grid is exactly 0).  For bt = 0 the box holds
+    the levels up to n.
+    """
     bt = params.beta_tilde
     c0 = 1.0 - bt * p0_tilde**2
     if bt > 0:
         if c0 <= 0:
-            raise AcceptabilityError(
-                f"1 - beta_tilde p0^2 = {c0} <= 0: measure is singular"
-            )
+            raise AcceptabilityError(f"1 - beta_tilde p0^2 = {c0} <= 0: "
+                                     "measure is singular")
         r = math.sqrt(bt * c0)
         q_max = 0.5 * math.pi / r
-        dq = 2.0 * q_max / (npts + 1)
-        q = np.linspace(-q_max + dq, q_max - dq, npts)
-        p = math.sqrt(c0 / bt) * np.tan(r * q)
     else:
-        q_max = _box_halfwidth(params.omega_tilde, k_hint)
-        dq = 2.0 * q_max / (npts + 1)
-        q = np.linspace(-q_max + dq, q_max - dq, npts)
-        p = q.copy()
+        q_max = _box_halfwidth(params.omega_tilde, n)
+    dq = 2.0 * q_max / (npts + 1)
+    q = dq * (np.arange(npts) - 0.5 * (npts - 1))
+    p = math.sqrt(c0 / bt) * np.tan(r * q) if bt > 0 else q.copy()
     f = c0 + bt * p * p
     return q, p, f, dq, c0
-
-
-def _q_of_p(params: DOParams, c0: float, p):
-    bt = params.beta_tilde
-    if bt == 0:
-        return np.asarray(p, dtype=float)
-    r = math.sqrt(bt * c0)
-    return np.arctan(np.sqrt(bt / c0) * np.asarray(p, dtype=float)) / r
 
 
 def _ladder_tridiagonal(wt: float, p, f, dq: float, partner: bool = False):
@@ -115,7 +105,7 @@ def lowest_eigenvalues(
     partner: bool = False,
 ):
     """k lowest eigenvalues of B+B- (or of the partner B-B+)."""
-    q, p, f, dq, _ = flat_grid(params, p0_tilde, npts, k_hint=k + 4)
+    q, p, f, dq, _ = flat_grid(params, p0_tilde, npts, k + 4)
     diag, off = _ladder_tridiagonal(params.omega_tilde, p, f, dq, partner)
     vals = eigh_tridiagonal(
         diag, off, select="i", select_range=(0, k - 1), eigvals_only=True
@@ -147,6 +137,12 @@ def eigensolve_factorized(
     Solves on grids npts, 2*npts+1, ... (halving the spacing each time),
     Richardson-extrapolates the two finest levels and estimates the
     observed convergence order when three levels are available.
+
+    Domain: for lam = 1/(bt wt) < 3/2 the wall u = +-pi/2 is limit-circle
+    (both cos^lam and cos^(1-lam) are square-integrable there).  The
+    paper's states are the cos^lam branch, and the Dirichlet truncation
+    converges to it only slowly, so from x = 2 bt wt of about 1.86 on the
+    eigenvalues drift off e_formula and the convergence check fails.
     """
     if params.beta_tilde >= 1:
         raise DiagnosticModeError()
@@ -234,6 +230,125 @@ def _l2norm(values, dq: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# closed-form states
+
+
+def _coefficients(mu, m: int):
+    """a_1 .. a_m of x g_k = a_(k+1) g_(k+1) + a_k g_(k-1), the recurrence
+    of the orthonormal polynomials for the weight (1 - x^2)^(mu - 1/2) on
+    (-1, 1) (Gegenbauer index mu), or for exp(-x^2) when mu is None."""
+    k = np.arange(1.0, m + 1)
+    if mu is None:
+        return np.sqrt(0.5 * k)
+    a = np.sqrt(k * (k + 2 * mu - 1) / ((k + mu) * (k + mu - 1))) / 2
+    a[:1] = math.sqrt(0.5 / (1.0 + mu))  # finite at mu = 0 (Chebyshev)
+    return a
+
+
+def _recurrence(x, g0, mu, k: int):
+    """Yield g_0, ..., g_k at x, all times g0 (an envelope, or 1).  The
+    orthonormal recurrence neither overflows nor cancels at large mu or k,
+    unlike that of C_k^mu."""
+    a = _coefficients(mu, k)
+    prev, cur = 0.0, g0
+    yield cur
+    for j in range(k):
+        prev, cur = cur, (x * cur - (a[j - 1] * prev if j else 0.0)) / a[j]
+        yield cur
+
+
+def _family(x, g0, mu, k: int):
+    """g_k of `_recurrence`; zero for k < 0."""
+    return deque(_recurrence(x, g0, mu, k), maxlen=1)[0] if k >= 0 else 0 * g0
+
+
+def _spinor(params: DOParams, level: SpectrumLevel, p):
+    """Unnormalized closed-form (psi1, psi2, dpsi1/dq, dpsi2/dq) of `level`
+    at the momenta p (an array).
+
+    term(j, k) = cos^(lam+j)(u) g_k(sin u), with g_k orthonormal for the
+    index lam + j, is a positive multiple of cos^(lam+j) C_k^(lam+j), and
+    dC_k^mu/dz = 2 mu C_(k-1)^(mu+1) gives d term(j, k)/dq =
+    lower(j, k) term(j + 1, k - 1) - drift(j) term(j, k).  For bt = 0,
+    term(j, k) is the k-th Hermite function of y = p/sqrt(wt).  The phase
+    (-1)^floor(n/2) makes psi1 positive (even n) or rising (odd n) at 0.
+    """
+    bt, wt = params.beta_tilde, params.omega_tilde
+    n, p0 = level.n, level.p0_tilde
+    if bt > 0:
+        c0 = 1.0 - bt * p0**2
+        lam, rate = 1.0 / (bt * wt), math.sqrt(bt * c0)  # rate = du/dq
+        tan = p * math.sqrt(bt / c0)
+        x, log_cos = tan / np.sqrt(1.0 + tan * tan), -0.5 * np.log1p(tan**2)
+
+        def term(j, k):
+            return _family(x, np.exp((lam + j) * log_cos), lam + j, k)
+
+        def lower(j, k):
+            mu = lam + j
+            return rate * math.sqrt(max(k, 0) * (k + 2 * mu) * (mu + 1)
+                                    / (mu + 0.5))
+
+        def drift(j):
+            return rate * (lam + j) * tan
+
+    else:
+        x = p / math.sqrt(wt)
+        envelope = np.exp(-0.5 * x * x)
+
+        def term(j, k):
+            return _family(x, envelope, None, k)
+
+        def lower(j, k):
+            return math.sqrt(2.0 * max(k, 0) / wt)
+
+        def drift(j):
+            return x / math.sqrt(wt)
+
+    sign = (-1) ** (n // 2)
+    psi1, t1 = sign * term(0, n), term(1, n - 1)
+    d1 = sign * lower(0, n) * t1 - drift(0) * psi1
+    # psi2 = B- psi1/(p0 + 1) = (p psi1 + wt d1)/(p0 + 1): wt drift(0) = p
+    amp = wt * sign * lower(0, n) / (p0 + 1.0)
+    d2 = amp * (lower(1, n - 1) * term(2, n - 2) - drift(1) * t1)
+    return psi1, amp * t1, d1, d2
+
+
+def _gauss(params: DOParams, level: SpectrumLevel, m: int):
+    """m-point Gauss rule in q, in units of M = int cos^(2 lam)(u) dq: nodes
+    p_k and weights w_k with sum w_k F(p_k) = int F dq / M exactly when F
+    is cos^(2 lam - 2)(u) times a polynomial in sin u of degree below 2m
+    (Gauss-Jacobi in z = sin u with alpha = beta = lam - 3/2; lam > 1/2),
+    or, for bt = 0, exp(-p^2/wt) times a polynomial in p (Gauss-Hermite).
+    """
+    bt, wt = params.beta_tilde, params.omega_tilde
+    mu = 1.0 / (bt * wt) - 1.0 if bt > 0 else None
+    x = eigh_tridiagonal(np.zeros(m), _coefficients(mu, m - 1),
+                         eigvals_only=True)
+    # Christoffel weights, summed from the same recurrence
+    christoffel = sum(g * g for g in _recurrence(x, np.ones(m), mu, m - 1))
+    if bt == 0:
+        return math.sqrt(wt) * x, np.exp(x * x) / christoffel
+    # int cos^(2 lam - 2)(u) dq = M (mu + 1)/(mu + 1/2)
+    w = (mu + 1.0) / (mu + 0.5) / christoffel / np.exp(mu * np.log1p(-x * x))
+    c0 = 1.0 - bt * level.p0_tilde**2
+    return math.sqrt(c0 / bt) * x / np.sqrt(1.0 - x * x), w
+
+
+def _norm_integral(params: DOParams, level: SpectrumLevel) -> float:
+    """Exact int (psi1^2 + psi2^2) dq of `_spinor`.  By orthonormality
+    int psi1^2 dq = M = sqrt(pi/(bt c0)) Gamma(lam + 1/2)/Gamma(lam + 1),
+    or sqrt(pi wt) for bt = 0, and int psi2^2 dq is e_n/(p0 + 1)^2 times
+    that, since B+B- psi1 = e_n psi1."""
+    bt, wt, p0 = params.beta_tilde, params.omega_tilde, level.p0_tilde
+    mass = math.sqrt(math.pi * wt)
+    if bt > 0:
+        gamma_ratio = float(poch(1.0 / (bt * wt) + 1.0, -0.5))
+        mass = math.sqrt(math.pi / (bt * (1.0 - bt * p0**2))) * gamma_ratio
+    return mass * (1.0 + level.e_n / (p0 + 1.0) ** 2)
+
+
+# ---------------------------------------------------------------------------
 # wavefunction grids
 
 
@@ -243,6 +358,8 @@ class WavefunctionGrid:
 
     weights are dp-measure quadrature weights (weights/f equals dq), so the
     normalization contract reads sum(weights*(psi1^2+psi2^2)/f) = 1.
+    amplitude is the factor between the samples and the unnormalized
+    closed form, which `inner_product` evaluates on foreign nodes.
     """
 
     params: DOParams
@@ -254,6 +371,7 @@ class WavefunctionGrid:
     f: np.ndarray
     dq: float
     c0: float
+    amplitude: float = 1.0
     metadata: dict = field(default_factory=dict)
 
     @property
@@ -264,48 +382,9 @@ class WavefunctionGrid:
         dens = np.abs(self.psi1) ** 2 + np.abs(self.psi2) ** 2
         return float(np.sum(dens) * self.dq)
 
-    def normalize(self):
-        s = math.sqrt(self.norm_squared())
-        self.psi1 = self.psi1 / s
-        self.psi2 = self.psi2 / s
-        return self
-
-    def same_nodes(self, other: "WavefunctionGrid") -> bool:
-        return (
-            self.q.size == other.q.size
-            and abs(self.c0 - other.c0) < 1e-14
-            and abs(self.dq - other.dq) < 1e-14 * self.dq
-        )
-
-    def values_at(self, p_target):
-        """(psi1, psi2) interpolated onto foreign momentum nodes.
-
-        Interpolation runs in this grid's own flat coordinate, where the
-        samples are uniform; outside the sampled window the (decayed)
-        wavefunction is treated as zero.
-        """
-        qt = _q_of_p(self.params, self.c0, p_target)
-        inside = (qt >= self.q[0]) & (qt <= self.q[-1])
-        out1 = np.zeros_like(qt)
-        out2 = np.zeros_like(qt)
-        if np.any(inside):
-            s1 = CubicSpline(self.q, self.psi1)
-            s2 = CubicSpline(self.q, self.psi2)
-            out1[inside] = s1(qt[inside])
-            out2[inside] = s2(qt[inside])
-        return out1, out2
-
     def csv_rows(self):
-        weights = self.weights  # one array, not one per row
-        for i in range(self.q.size):
-            yield (
-                float(self.p[i]),
-                float(self.q[i]),
-                float(self.psi1[i]),
-                float(self.psi2[i]),
-                float(self.f[i]),
-                float(weights[i]),
-            )
+        columns = (self.p, self.q, self.psi1, self.psi2, self.f, self.weights)
+        return zip(*(map(float, c) for c in columns))
 
 
 def ladder_apply(sign: int, grid: WavefunctionGrid, values, tol: float = 1e-6):
@@ -326,161 +405,81 @@ def ladder_apply(sign: int, grid: WavefunctionGrid, values, tol: float = 1e-6):
     return out, meta
 
 
-def ground_state(
-    params: DOParams, p0_tilde: float, grid: GridSpec = GridSpec()
-) -> WavefunctionGrid:
-    """Closed-form nodeless solution of B^- psi1 = 0, psi2 = 0.
+def _sampled(params: DOParams, level: SpectrumLevel, npts: int):
+    """The closed-form state of `level` on the flat grid, normalized there.
+
+    metadata holds the L2 residuals of the coupled equations, evaluated
+    pointwise from the exact derivatives, and the quadrature error
+    |sum (psi1^2 + psi2^2) dq / exact integral - 1| before normalization,
+    which is what tells a grid too coarse for the state.
+    """
+    if params.beta_tilde >= 1:
+        raise DiagnosticModeError()
+    p0, wt = level.p0_tilde, params.omega_tilde
+    q, p, f, dq, c0 = flat_grid(params, p0, npts, level.n)
+    psi1, psi2, d1, d2 = _spinor(params, level, p)
+    raw = float(np.sum(psi1**2 + psi2**2) * dq)
+    # a state that vanishes at every node stays unnormalized
+    scale = 1.0 / math.sqrt(raw) if raw > 0 else 1.0
+    res2 = p * psi1 + wt * d1 - (p0 + 1.0) * psi2
+    res1 = p * psi2 - wt * d2 - (p0 - 1.0) * psi1
+    wf = WavefunctionGrid(params, level, q, p, scale * psi1, scale * psi2, f,
+                          dq, c0, scale)
+    wf.metadata["residual_coupled_1"] = scale * _l2norm(res1, dq)
+    wf.metadata["residual_coupled_2"] = scale * _l2norm(res2, dq)
+    exact = _norm_integral(params, level)
+    wf.metadata["quadrature_error"] = abs(raw / exact - 1.0)
+    return wf
+
+
+def ground_state(params: DOParams, p0_tilde: float,
+                 grid: GridSpec = GridSpec()) -> WavefunctionGrid:
+    """Closed-form nodeless solution of B^- psi1 = 0, psi2 = 0 at p0.
 
     psi1 ~ (c0 + bt p^2)^(-1/(2 bt wt)) for bt > 0 and the Gaussian
-    exp(-p^2/(2 wt)) in the undeformed limit.
+    exp(-p^2/(2 wt)) in the undeformed limit; with psi2 = 0,
+    metadata["residual_coupled_2"] is the L2 norm of B^- psi1.
     """
-    if params.beta_tilde >= 1:
-        raise DiagnosticModeError()
-    bt, wt = params.beta_tilde, params.omega_tilde
-    q, p, f, dq, c0 = flat_grid(params, p0_tilde, grid.size, k_hint=FIXED_K_HINT)
-    if bt > 0:
-        # work in logs: the power can be large
-        logpsi = -np.log(f) / (2.0 * bt * wt)
-        logpsi -= np.max(logpsi)
-        psi1 = np.exp(logpsi)
-    else:
-        psi1 = np.exp(-p * p / (2.0 * wt))
-    level = SpectrumLevel(
-        n=0, tau=1, K=0.0, p0_tilde=p0_tilde, e_n=0.0, E_over_mc2=p0_tilde
-    )
-    wf = WavefunctionGrid(
-        params, level, q, p, psi1, np.zeros_like(psi1), f, dq, c0
-    )
-    wf.normalize()
-    res, meta = ladder_apply(-1, wf, wf.psi1)
-    wf.metadata["ground_residual"] = _l2norm(res, dq)
-    wf.metadata.update(meta)
-    return wf
+    level = SpectrumLevel(0, 1, 0.0, p0_tilde, 0.0, p0_tilde)
+    return _sampled(params, level, grid.size)
 
 
-def _count_nodes(v, dens_floor=1e-6):
-    v = np.asarray(v)
-    big = np.abs(v) > dens_floor * np.max(np.abs(v))
-    sv = np.sign(v[big])
-    return int(np.sum(sv[:-1] * sv[1:] < 0))
+def wavefunction(params: DOParams, qn: QuantumNumber,
+                 grid: GridSpec = GridSpec()) -> WavefunctionGrid:
+    """Spinor eigenstate at the self-consistent level (n, tau), sampled
+    from the closed form (see the module docstring).
 
-
-def wavefunction(
-    params: DOParams, qn: QuantumNumber, grid: GridSpec = GridSpec()
-) -> WavefunctionGrid:
-    """Spinor eigenstate at the self-consistent level (n, tau).
-
-    psi1 is the n-th eigenvector of the discretized B+B-; psi2 follows from
-    the coupled first-order equation psi2 = B- psi1 / (p0 + 1).  Residuals
-    of both coupled equations are stored in metadata.
-
-    Parity: psi1 is projected onto parity (-1)^n under q -> -q (equivalently
-    p -> -p, since the grid is mirror-symmetric), so psi1[::-1] equals
-    (-1)^n psi1 to rounding; B- is odd, so psi2 has parity (-1)^(n+1).  For
-    n = 0, psi1 is the even closed-form ground state and psi2 is zero.
+    psi1 has n nodes and parity (-1)^n under q -> -q, psi2 = B- psi1/(p0+1)
+    has parity (-1)^(n+1); for n = 0, psi2 is zero.
     """
-    if params.beta_tilde >= 1:
-        raise DiagnosticModeError()
-    level = make_level(params, qn)
-    p0 = level.p0_tilde
-    if qn.n == 0:
-        wf = ground_state(params, p0, grid)
-        wf.level = level
-        wf.metadata["residual_coupled_1"] = 0.0
-        wf.metadata["residual_coupled_2"] = wf.metadata["ground_residual"] / (
-            p0 + 1.0
-        )
-        return wf
-
-    wt = params.omega_tilde
-    npts = grid.size
-    q, p, f, dq, c0 = flat_grid(params, p0, npts, k_hint=FIXED_K_HINT)
-    diag, off = _ladder_tridiagonal(wt, p, f, dq)
-    vals, vecs = eigh_tridiagonal(
-        diag, off, select="i", select_range=(qn.n, qn.n)
-    )
-    psi1 = vecs[:, 0] / math.sqrt(dq)
-    # B+B- commutes with q -> -q on the mirror-symmetric grid, so the exact
-    # eigenvector has parity (-1)^n; drop the opposite-parity part that
-    # rounding leaves in the solver's vector
-    psi1 = 0.5 * (psi1 + (-1) ** qn.n * psi1[::-1])
-    nodes = _count_nodes(psi1)
-    # phase convention: positive value (even n) or slope (odd n) at p = 0
-    mid = npts // 2
-    if qn.n % 2 == 0:
-        if psi1[mid] < 0:
-            psi1 = -psi1
-    else:
-        if psi1[mid + 1] - psi1[mid - 1] < 0:
-            psi1 = -psi1
-
-    d6 = fd_derivative(psi1, dq, order=6)
-    b_minus = p * psi1 + wt * d6
-    psi2 = b_minus / (p0 + 1.0)
-
-    wf = WavefunctionGrid(params, level, q, p, psi1, psi2, f, dq, c0)
-    wf.normalize()
-
-    # residuals of the (normalized) coupled pair, evaluated with an
-    # independent stencil
-    d4_1 = fd_derivative(wf.psi1, dq, order=4)
-    d4_2 = fd_derivative(wf.psi2, dq, order=4)
-    r2 = p * wf.psi1 + wt * d4_1 - (p0 + 1.0) * wf.psi2
-    r1 = p * wf.psi2 - wt * d4_2 - (p0 - 1.0) * wf.psi1
-    wf.metadata["residual_coupled_1"] = _l2norm(r1, dq)
-    wf.metadata["residual_coupled_2"] = _l2norm(r2, dq)
-    wf.metadata["eigenvalue"] = float(vals[0])
-    wf.metadata["eigenvalue_closed_form"] = e_formula(params, qn.n, p0)
-    wf.metadata["node_count"] = nodes
-    if nodes != qn.n:
-        wf.metadata["node_count_warning"] = True
-    return wf
+    return _sampled(params, make_level(params, qn), grid.size)
 
 
-def inner_product(
-    a: WavefunctionGrid,
-    b: WavefunctionGrid,
-    weight_level: QuantumNumber,
-    with_error: bool = False,
-):
+def inner_product(a: WavefunctionGrid, b: WavefunctionGrid,
+                  weight_level: QuantumNumber, with_error: bool = False):
     """Deformed scalar product int dp (psi_a* . psi_b) / f_weight.
 
     The weight is the measure factor of the designated level, which is an
     explicit argument because the energy-dependent measure makes the choice
-    ambiguous between different levels.  Evaluated on a's nodes; b is
-    interpolated through its own flat coordinate.
+    ambiguous between different levels.  Summed on a's nodes, where b is
+    evaluated exactly from its closed form.
 
-    With with_error=True returns (value, err).  err is the largest of the
-    quadrature error (Richardson estimate from the every-other-node sum on
-    either grid), the interpolation error (the gap between the value and
-    the conjugate of the swapped evaluation on b's nodes) and a floor of
-    1e-14 times the integral of |integrand|.  It does not cover the
-    discretization error of the states themselves: sampled eigenvectors of
-    the O(dq^2) finite-difference operator are orthogonal only up to an
-    O(dq^2) floor, which can lie far above err.
+    With with_error=True returns (value, err): err is the larger of the
+    quadrature error (Richardson estimate from the every-other-node sum)
+    and 1e-14 times the integral of |integrand|.
     """
     if a.params != b.params:
         raise ValueError("incompatible grids: different oscillator parameters")
-    params = a.params
-    p0w = p0_allowed(params, weight_level)
-    c0w = 1.0 - params.beta_tilde * p0w**2
-
-    def one_sided(x: WavefunctionGrid, y: WavefunctionGrid) -> tuple:
-        fw = c0w + params.beta_tilde * x.p**2
-        if y is x or y.same_nodes(x):
-            y1, y2 = y.psi1, y.psi2
-        else:
-            y1, y2 = y.values_at(x.p)
-        integrand = (np.conj(x.psi1) * y1 + np.conj(x.psi2) * y2) * x.f / fw
-        val = complex(np.sum(integrand) * x.dq)
-        coarse = complex(np.sum(integrand[::2]) * 2 * x.dq)
-        mass = float(np.sum(np.abs(integrand)) * x.dq)
-        return val, abs(val - coarse) / 3.0, mass
-
-    val, quad_err, mass = one_sided(a, b)
+    bt = a.params.beta_tilde
+    p0w = p0_allowed(a.params, weight_level)
+    fw = 1.0 - bt * p0w**2 + bt * a.p**2
+    b1, b2, _, _ = _spinor(b.params, b.level, a.p)
+    integrand = (np.conj(a.psi1) * b1 + np.conj(a.psi2) * b2) * (
+        b.amplitude * a.f / fw
+    )
+    val = complex(np.sum(integrand) * a.dq)
     if not with_error:
         return val
-    # swapped evaluation (b's nodes, conjugated) exposes interpolation error
-    swapped, quad_err_b, _ = one_sided(b, a)
-    err = max(quad_err, quad_err_b, abs(val - swapped.conjugate()))
-    return val, max(err, 1e-14 * mass)
+    coarse = complex(np.sum(integrand[::2]) * 2 * a.dq)
+    mass = float(np.sum(np.abs(integrand)) * a.dq)
+    return val, max(abs(val - coarse) / 3.0, 1e-14 * mass)

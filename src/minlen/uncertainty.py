@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import DeformationParams
 from .oscillator.spectrum import AcceptabilityError, DOParams
-from .oscillator.wavefunction import WavefunctionGrid, fd_derivative
+from .oscillator.wavefunction import WavefunctionGrid, _gauss, _spinor
 
 
 @dataclass(frozen=True)
@@ -143,39 +143,34 @@ class StateMoments:
 
 
 def state_moments(grid: WavefunctionGrid, params: DOParams) -> StateMoments:
-    """Quadrature moments of a Dirac-oscillator state (dimensionless units).
+    """Exact moments of a Dirac-oscillator state (dimensionless units).
 
     The position acts as i f d/dp, which is i d/dq in the flat coordinate,
-    so <X> and <X^2> reduce to plain dq-integrals of the derivative; the
-    energy component is sharp, <(P^0)^2> = (p0)^2 exactly.
+    so <X^2> = int |dpsi/dq|^2 dq.  <P> and <X> vanish by parity, and the
+    energy component is sharp, <(P^0)^2> = (p0)^2.  The integrands of
+    <P^2> and <X^2> are cos^(2 lam - 2)(u) times a polynomial of degree
+    2n + 2 in sin u, so the (n + 2)-point Gauss rule of the closed form is
+    exact; for lam = 1/(bt wt) <= 1/2 both diverge, and dP, dX are inf.
     """
     norm = grid.norm_squared()
     if abs(norm - 1.0) > 1e-8:
         raise ValueError(f"grid not normalized (norm^2 = {norm})")
-    dq = grid.dq
-    dens = np.abs(grid.psi1) ** 2 + np.abs(grid.psi2) ** 2
-    mean_p = float(np.sum(grid.p * dens) * dq)
-    meansq_p = float(np.sum(grid.p**2 * dens) * dq)
-    d1 = fd_derivative(grid.psi1, dq)
-    d2 = fd_derivative(grid.psi2, dq)
-    # i * int psi* dpsi dq; real for real states (total derivative)
-    mean_x = float(
-        np.real(
-            1j
-            * np.sum(np.conj(grid.psi1) * d1 + np.conj(grid.psi2) * d2)
-            * dq
-        )
-    )
-    meansq_x = float(np.sum(np.abs(d1) ** 2 + np.abs(d2) ** 2) * dq)
-    dP = math.sqrt(max(meansq_p - mean_p**2, 0.0))
-    dX = math.sqrt(max(meansq_x - mean_x**2, 0.0))
+    level = grid.level
+    meansq_p = meansq_x = math.inf
+    if grid.params.beta_tilde * grid.params.omega_tilde < 2.0:
+        p, w = _gauss(grid.params, level, level.n + 2)
+        psi1, psi2, d1, d2 = _spinor(grid.params, level, p)
+        dens = psi1**2 + psi2**2
+        # dens is cos^(2 lam - 2) u times cos^2 u = 1 - sin^2 u times a
+        # polynomial, so the same rule gives the exact norm
+        mass = float(np.sum(w * dens))
+        meansq_p = float(np.sum(w * p * p * dens)) / mass
+        meansq_x = float(np.sum(w * (d1**2 + d2**2))) / mass
+    dP = math.sqrt(meansq_p)
     ms = MomentSet(
-        D=1,
-        mean_P=(mean_p,),
-        spread_P=(dP,),
-        meansq_P0=grid.level.p0_tilde ** 2,
+        D=1, mean_P=(0.0,), spread_P=(dP,), meansq_P0=level.p0_tilde**2
     )
-    return StateMoments(ms, dX, dP, mean_x)
+    return StateMoments(ms, math.sqrt(meansq_x), dP, 0.0)
 
 
 def uncertainty_report(grid: WavefunctionGrid, params: DOParams) -> dict:

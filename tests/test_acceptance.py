@@ -223,7 +223,7 @@ def test_criterion_07_wavefunctions():
         g = ground_state(
             params, p0_allowed(params, QuantumNumber(0, 1)), _grid_for(bt)
         )
-        gr = g.metadata["ground_residual"]
+        gr = g.metadata["residual_coupled_2"]
         ok &= gr <= 1e-8
         worst_res = 0.0
         worst_norm = 0.0
@@ -295,10 +295,10 @@ def test_criterion_08_orthogonality_loss():
     zero, so the overlap vanishes by parity for every bt.  The test checks
     those premises and that the overlap stays within err, deformed and
     undeformed.  The loss is shown on (1,+)/(3,+) under the level-1 weight,
-    the lowest same-parity pair the even-pair test below does not cover;
-    its undeformed overlap sits at the O(dq^2) floor of the discretized
-    states, which err does not cover, so it is compared as that test
-    compares (0,+)/(2,+).
+    the lowest same-parity pair the even-pair test below does not cover.
+    The states are sampled from the closed form, so the undeformed
+    overlap is rounding (no O(dq^2) discretization floor remains); it is
+    compared as that test compares (0,+)/(2,+).
     """
     premises_d, val_d, err_d = _opposite_parity_pair(0.5)
     premises_u, val_u, err_u = _opposite_parity_pair(0.0)
@@ -328,10 +328,9 @@ def test_criterion_08_orthogonality_loss():
 def test_criterion_08_orthogonality_loss_even_pair():
     """Orthogonality loss on the even-parity pair, where the effect is real.
 
-    The undeformed overlap is compared against the floor left by sampling
-    the closed-form level-0 state next to discrete eigenvectors (an O(dq^2)
-    construction artifact, well above the quadrature-error estimate), not
-    against the quadrature estimate itself.
+    Both states are sampled from the closed form, so the undeformed
+    overlap is rounding; it must lie below 1e-5 and 1e4 times below the
+    deformed one.
     """
     val_d, err_d = _overlap(0.5, 0, 2)
     val_u, _ = _overlap(0.0, 0, 2)
@@ -407,7 +406,7 @@ def test_criterion_10_cli_contract(tmp_path):
         (["wavefunction", "--beta-tilde", "0.5", "--omega-tilde", "1.0",
           "--n", "0", "--tau", "-1"] + d("m7"), 2),
         (["wavefunction", "--beta-tilde", "0.5", "--omega-tilde", "1.0",
-          "--n", "1", "--grid-size", "2001", "--tol", "1e-15"] + d("m8"), 1),
+          "--n", "1", "--grid-size", "2001", "--tol", "1e-300"] + d("m8"), 1),
         (["uncertainty", "--beta-tilde", "0.5", "--omega-tilde", "1.0",
           "--n-max", "1", "--grid-size", "2001"] + d("m9"), 0),
         (["limits", "--beta-values", "1e-3,1e-4", "--omega-tilde", "0.7",

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -85,8 +86,10 @@ def test_exit_codes(tmp_path):
           "--n", "0", "--tau", "-1"] + out("c8"), 2),
         # unreachable residual tolerance fails the check
         (["wavefunction", "--beta-tilde", "0.5", "--omega-tilde", "1.0",
-          "--n", "1", "--grid-size", "2001", "--tol", "1e-15"]
+          "--n", "1", "--grid-size", "2001", "--tol", "1e-300"]
          + out("c9"), 1),
+        # a grid too coarse for the state fails through quadrature_error
+        (COARSE + out("c27"), 1),
         (["uncertainty", "--beta-tilde", "0.5", "--omega-tilde", "1.0",
           "--n-max", "1", "--grid-size", "2001"] + out("c10"), 0),
         (["limits", "--beta-values", "1e-3,1e-4,1e-5",
@@ -159,13 +162,37 @@ def test_exit_codes(tmp_path):
         (["spectrum"] + config("k14.cfg", osc + "tol = 1e-3\n")
          + out("k14"), 2),
     ]
+    # an --out-dir that cannot be a directory is refused before any work
+    not_dir = tmp_path / "regular-file"
+    not_dir.write_text("")
+    cases += [
+        (SPECTRUM_OK + ["--out-dir", str(not_dir)], 2),
+        (WF + ["--grid-size", "2001", "--out-dir", str(not_dir)], 2),
+        (WF + ["--grid-size", "2001", "--out-dir", str(not_dir / "sub")], 2),
+    ]
     for args, expected in cases:
         assert run(args) == expected, args
     for args in (
         ["verify-algebra", "--dims", "1", "--format", "csv"] + out("f1"),
         SPECTRUM_OK + ["--tol", "1e-3"] + out("f2"),
+        SPECTRUM_OK + ["--out-dir", str(not_dir)],
     ):
         assert one_usage_error(args), args
+
+
+COARSE = ["wavefunction", "--beta-tilde", "1e-6", "--omega-tilde", "0.05",
+          "--n", "40", "--grid-size", "4001"]
+
+
+def test_coarse_grid_fails_on_quadrature_error(tmp_path):
+    """About three nodes fall inside this state's support: the exact
+    residuals still hold, and the quadrature error is what fails."""
+    assert run(COARSE + ["--out-dir", str(tmp_path)]) == 1
+    report = json.loads(read(str(tmp_path / "report.json")))
+    assert report["quadrature_error"] > report["tol"]
+    assert max(report["residual_coupled_1"],
+               report["residual_coupled_2"]) <= report["tol"]
+    assert report["passed"] is False
 
 
 def one_usage_error(args):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
+from scipy.special import eval_gegenbauer, roots_jacobi
 
 from minlen.core import DeformationParams
 from minlen.oscillator.spectrum import (
@@ -226,3 +227,31 @@ def test_report_momentum_mean_vanishes_by_parity():
     rec = uncertainty_report(wf, p)
     assert abs(rec["moments"]["mean_P"][0]) < 1e-10
     assert abs(rec["moments"]["mean_X"]) < 1e-8
+
+
+@pytest.mark.parametrize("bt,wt,n,tau", [
+    (0.5, 1.0, 2, 1), (0.75, 2.0, 1, 1), (0.3, 0.4, 7, -1), (0.9, 2.0, 3, 1)])
+def test_moments_match_independent_quadrature(bt, wt, n, tau):
+    """<p^2> and <x^2> against scipy's own Gauss-Jacobi rule applied to
+    eval_gegenbauer: in z = sin u, psi1 = (1-z^2)^(lam/2) C_n^lam(z),
+    psi2 = K (1-z^2)^((lam+1)/2) C_(n-1)^(lam+1)(z), dq = dz/(r cos u)."""
+    params = DOParams(bt, wt)
+    wf = wavefunction(params, QuantumNumber(n, tau), GridSpec(2001))
+    p0 = wf.level.p0_tilde
+    c0 = 1.0 - bt * p0**2
+    lam, r = 1.0 / (bt * wt), math.sqrt(bt * c0)
+    k2 = 2.0 * math.sqrt(c0 / bt) / (p0 + 1.0)
+    z, w = roots_jacobi(n + 6, lam - 1.5, lam - 1.5)
+    c = eval_gegenbauer
+    c1, c2 = c(n, lam, z), c(n - 1, lam + 1, z)
+    cc = 1.0 - z * z
+    dens = c1**2 + k2**2 * cc * c2**2  # over cos^(2 lam)
+    norm = np.sum(w * cc * dens) / r
+    meansq_p = np.sum(w * (c0 / bt) * z * z * dens) / r / norm
+    # r cos^(lam-1) [-lam z C1 + cos^2 C1'], r k2 cos^lam [...]
+    d1 = -lam * z * c1 + cc * 2 * lam * c(n - 1, lam + 1, z)
+    d2 = k2 * (-(lam + 1) * z * c2 + cc * 2 * (lam + 1) * c(n - 2, lam + 2, z))
+    meansq_x = r * np.sum(w * (d1**2 + cc * d2**2)) / norm
+    sm = state_moments(wf, params)
+    assert math.isclose(sm.deltaP**2, meansq_p, rel_tol=1e-12)
+    assert math.isclose(sm.deltaX**2, meansq_x, rel_tol=1e-12)

@@ -21,6 +21,8 @@ from minlen.oscillator.wavefunction import (
     flat_grid,
     ground_state,
     inner_product,
+    _l2norm,
+    _spinor,
     ladder_apply,
     lowest_eigenvalues,
     wavefunction,
@@ -38,6 +40,19 @@ def test_flat_grid_singular_measure():
     p = DOParams(0.5, 1.0)
     with pytest.raises(AcceptabilityError):
         flat_grid(p, p0_tilde=2.0, npts=100)  # 1 - 0.5*4 < 0
+
+
+@pytest.mark.parametrize("bt", [0.0, 0.5])
+def test_flat_grid_mirror_exact(bt):
+    """q = -q[::-1] and p = -p[::-1] to the last bit, and the centre node of
+    an odd grid sits exactly at p = 0."""
+    p = DOParams(bt, 1.0)
+    p0 = p0_allowed(p, QuantumNumber(1, 1))
+    for npts in (501, 2001, 32001):
+        q, pp, f, dq, c0 = flat_grid(p, p0, npts)
+        assert np.array_equal(q, -q[::-1])
+        assert np.array_equal(pp, -pp[::-1])
+        assert pp[npts // 2] == 0.0
 
 
 def test_flat_grid_compactifies():
@@ -160,7 +175,7 @@ def test_ground_state_gaussian_limit():
     ref /= math.sqrt(float(np.sum(ref**2) * g.dq))
     assert np.max(np.abs(g.psi1 - ref)) < 1e-12
     assert np.all(g.psi2 == 0)
-    assert g.metadata["ground_residual"] < 1e-8
+    assert g.metadata["residual_coupled_2"] < 1e-8
 
 
 def test_ground_state_deformed_profile():
@@ -172,8 +187,14 @@ def test_ground_state_deformed_profile():
     prof = g.f ** (-1.0 / (2 * bt * wt))
     prof /= math.sqrt(float(np.sum(prof**2) * g.dq))
     assert np.max(np.abs(g.psi1 - prof)) < 1e-12
-    assert g.metadata["ground_residual"] < 1e-8
+    assert g.metadata["residual_coupled_2"] < 1e-8
     assert abs(g.norm_squared() - 1.0) < 1e-12
+
+
+def sign_changes(v, floor=1e-6):
+    """Sign changes of v where |v| exceeds floor * max |v|."""
+    v = v[np.abs(v) > floor * np.max(np.abs(v))]
+    return int(np.count_nonzero(np.sign(v[:-1]) != np.sign(v[1:])))
 
 
 @pytest.mark.parametrize("bt", [0.0, 0.5])
@@ -182,13 +203,11 @@ def test_excited_states(bt, n, tau):
     p = DOParams(bt, 1.0)
     wf = wavefunction(p, QuantumNumber(n, tau), GridSpec(6001))
     assert abs(wf.norm_squared() - 1.0) < 1e-12
-    assert wf.metadata["node_count"] == n
-    # the undeformed box has the coarser spacing, hence the looser bound
+    assert sign_changes(wf.psi1) == n
+    # bounds set for the earlier finite-difference states; the closed form
+    # sits at rounding
     assert wf.metadata["residual_coupled_1"] < 2e-5
     assert wf.metadata["residual_coupled_2"] < 1e-7
-    lam = wf.metadata["eigenvalue"]
-    lam_exact = wf.metadata["eigenvalue_closed_form"]
-    assert abs(lam - lam_exact) < 1e-3 * max(abs(lam_exact), 1.0)
 
 
 PARITY_LEVELS = [(n, 1) for n in range(7)] + [(n, -1) for n in range(1, 7)]
@@ -286,11 +305,59 @@ def test_orthogonality_lost_when_deformed():
     assert abs(val) > 0.01
 
 
-def test_values_at_roundtrip():
-    p = DOParams(0.5, 1.0)
-    wf = wavefunction(p, QuantumNumber(1, 1), GRID)
-    v1, v2 = wf.values_at(wf.p)
-    assert np.max(np.abs(v1 - wf.psi1)) < 1e-10
-    # far outside the sampled window the state is treated as zero
-    v1, v2 = wf.values_at(np.array([1e6]))
-    assert v1[0] == 0.0 and v2[0] == 0.0
+def test_exact_overlap_across_boxes():
+    """Each undeformed level gets a box sized from its own n, and b is
+    evaluated exactly on a's nodes: the ground state and n = 40 (which a
+    box shared by all levels cut off) are orthogonal in either order, to
+    within the quadrature error, and n = 40 is normalized on its own
+    nodes."""
+    p = DOParams(0.0, 1.0)
+    ground = QuantumNumber(0, 1)
+    a = wavefunction(p, ground, GRID)
+    b = wavefunction(p, QuantumNumber(40, 1), GRID)
+    assert b.q[-1] > a.q[-1]  # the boxes differ
+    assert b.metadata["quadrature_error"] < 1e-12
+    assert max(b.metadata["residual_coupled_1"],
+               b.metadata["residual_coupled_2"]) < 1e-12
+    for x, y in ((a, b), (b, a)):
+        val, err = inner_product(x, y, ground, with_error=True)
+        assert abs(val) <= err < 1e-12
+    assert abs(inner_product(b, b, QuantumNumber(40, 1)) - 1.0) < 1e-12
+
+
+def _fd_residual(wf, psi2):
+    """Coupled residual of (wf.psi1, psi2) under the finite-difference
+    ladder operators of `ladder_apply` (6th-order stencil)."""
+    p0 = wf.level.p0_tilde
+    down, _ = ladder_apply(-1, wf, wf.psi1)
+    up, _ = ladder_apply(1, wf, psi2)
+    return max(_l2norm(down - (p0 + 1.0) * psi2, wf.dq),
+               _l2norm(up - (p0 - 1.0) * wf.psi1, wf.dq))
+
+
+@pytest.mark.parametrize("bt,wt,n,tau", [
+    (0.0, 1.0, 3, 1), (0.05, 1.0, 4, 1), (0.1, 0.5, 5, -1)])
+def test_finite_differences_confirm_closed_form(bt, wt, n, tau):
+    """The independent stencil sees the closed-form pair solve both coupled
+    equations, with a residual that falls at about the stencil's order
+    (2^6 per halving of dq) where the states are smooth at the wall
+    (lam = 1/(bt wt) >= 20).  A wrong K (psi2 scaled) or a wrong lam in
+    psi2 (a wrong width for bt = 0) leaves a residual that does not
+    fall."""
+    params = DOParams(bt, wt)
+    wrong_lam = DOParams(bt, 1.05 * wt)
+    residuals = {"exact": [], "K": [], "lam": []}
+    for size in (1001, 2003):
+        wf = wavefunction(params, QuantumNumber(n, tau), GridSpec(size))
+        tampered = {
+            "exact": wf.psi2,
+            "K": 1.01 * wf.psi2,
+            "lam": wf.amplitude * _spinor(wrong_lam, wf.level, wf.p)[1],
+        }
+        for key, psi2 in tampered.items():
+            residuals[key].append(_fd_residual(wf, psi2))
+    coarse, fine = residuals["exact"]
+    assert fine < 1e-8 and coarse / fine > 2**5
+    for key in ("K", "lam"):
+        coarse, fine = residuals[key]
+        assert fine > 1e-3 and coarse / fine < 2
