@@ -1,10 +1,8 @@
 """Golden outputs: every subcommand's report.json and artifacts, byte for byte.
 
 Each case runs `minlen.cli.main` with the argv below into a fresh directory,
-checks its exit code and compares every file it writes with
-`tests/golden/<case>/`.  The undeformed wavefunction cases exit 1: at 2001
-nodes their coupled residual (5.7e-5) misses the default tolerance, and the
-golden pins that verdict too.  To regenerate a case after an intended
+checks its exit code (0 for every case) and compares every file it writes
+with `tests/golden/<case>/`.  To regenerate a case after an intended
 output change, run its argv by hand:
 
     PYTHONPATH=src python -m minlen.cli <argv...> --out-dir tests/golden/<case>
@@ -60,14 +58,10 @@ def _files(root):
     return sorted(os.listdir(root))
 
 
-# exit code of each case, where it is not 0
-EXIT = {"wavefunction-json-bt0": 1, "wavefunction-csv-bt0": 1}
-
-
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_outputs(case, tmp_path):
     out = str(tmp_path / case)
-    assert main(CASES[case] + ["--out-dir", out]) == EXIT.get(case, 0)
+    assert main(CASES[case] + ["--out-dir", out]) == 0
     golden = os.path.join(GOLDEN, case)
     assert _files(out) == _files(golden)
     for name in _files(golden):
