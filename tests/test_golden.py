@@ -34,6 +34,12 @@ CASES = {
     "verify-snyder-D3": ["verify-algebra", "--dims", "3", "--case", "snyder"],
     "verify-kempf-D3": ["verify-algebra", "--dims", "3", "--case", "kempf"],
     "spectrum": ["spectrum", *BT05, "--n-max", "10"],
+    # the only CSV table with integer columns
+    "spectrum-csv": ["spectrum", *BT05, "--n-max", "10", "--format", "csv"],
+    # e_n of the n = 0 level is -0.0
+    "spectrum-diagnostic": [
+        "spectrum", "--beta-tilde", "1.5", "--omega-tilde", "1", "--n-max",
+        "3", "--diagnostic", "true"],
     "limits": [
         "limits", "--beta-values", "1e-3,1e-4,1e-5", "--omega-tilde", "0.7",
         "--expect-linear"],
