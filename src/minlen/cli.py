@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from .core import Spacetime
-from .serialize import write_csv, write_json
+from .serialize import Table, write_csv, write_json
 from .symbolic.identities import (
     verify_algebra,
     verify_poincare,
@@ -104,13 +104,13 @@ def _switch(text: str) -> bool:
     return text == "true"
 
 
-def _write_table(args, stem: str, header, rows):
+def _write_table(args, stem: str, header, columns):
     """Artifact stem.csv, or stem.json as a list of row objects."""
     path = os.path.join(args.out_dir, stem)
     if args.format == "csv":
-        write_csv(path + ".csv", header, rows)
+        write_csv(path + ".csv", header, columns)
     else:
-        write_json(path + ".json", [dict(zip(header, r)) for r in rows])
+        write_json(path + ".json", Table(header, columns))
 
 
 def _oscillator(beta_tilde, omega_tilde, diagnostic=False) -> DOParams:
@@ -166,8 +166,7 @@ def cmd_verify_algebra(args):
 def cmd_spectrum(args):
     params = _oscillator(args.beta_tilde, args.omega_tilde, args.diagnostic)
     table = spectrum_table(params, args.n_max)
-    header = ["n", "tau", "K", "p0_tilde", "e_n", "E_over_mc2"]
-    _write_table(args, "spectrum", header, list(table.rows()))
+    _write_table(args, "spectrum", table.COLUMNS, table.columns())
     flagged = table.unphysical_decrease
     report = {
         "beta_tilde": params.beta_tilde,
@@ -242,10 +241,9 @@ def cmd_limits(args):
         raise UsageError("beta-values is empty")
     all_params = [_oscillator(bt, args.omega_tilde) for bt in betas]
     wt = all_params[0].omega_tilde
-    rows = []
     devs = []
+    ratios = []
     for params in all_params:
-        bt = params.beta_tilde
         ns = np.arange(args.n_max + 1)
         p0 = np.array(
             [p0_allowed(params, QuantumNumber(int(n), 1)) for n in ns]
@@ -253,19 +251,17 @@ def cmd_limits(args):
         ref = np.sqrt(1.0 + 2.0 * wt * ns)
         dev = float(np.max(np.abs(p0 - ref)))
         devs.append(dev)
-        ratio = devs[-2] / dev if len(devs) > 1 and dev > 0 else float("nan")
-        rows.append((bt, dev, ratio))
+        ratios.append(
+            devs[-2] / dev if len(devs) > 1 and dev > 0 else float("nan"))
     header = ["beta_tilde", "max_abs_deviation", "ratio_to_previous"]
-    write_csv(os.path.join(args.out_dir, "limits.csv"), header, rows)
-    linear = all(8.0 <= r <= 12.0 for _, _, r in rows[1:])
+    columns = [[p.beta_tilde for p in all_params], devs, ratios]
+    write_csv(os.path.join(args.out_dir, "limits.csv"), header, columns)
+    linear = all(8.0 <= r <= 12.0 for r in ratios[1:])
     passed = linear if args.expect_linear else True
     report = {
         "omega_tilde": wt,
         "n_max": args.n_max,
-        "rows": [
-            {"beta_tilde": b, "max_abs_deviation": d, "ratio_to_previous": r}
-            for b, d, r in rows
-        ],
+        "rows": Table(header, columns),
         "linear_in_beta": linear,
         "passed": passed,
     }

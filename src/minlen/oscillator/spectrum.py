@@ -194,9 +194,12 @@ class SpectrumTable:
     levels: list
     unphysical_decrease: bool
 
-    def rows(self):
-        for lev in self.levels:
-            yield (lev.n, lev.tau, lev.K, lev.p0_tilde, lev.e_n, lev.E_over_mc2)
+    COLUMNS = ("n", "tau", "K", "p0_tilde", "e_n", "E_over_mc2")
+
+    def columns(self):
+        """One list per name in COLUMNS, in level order."""
+        return [[getattr(lev, name) for lev in self.levels]
+                for name in self.COLUMNS]
 
 
 def spectrum_table(params: DOParams, n_max: int) -> SpectrumTable:

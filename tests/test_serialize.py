@@ -1,0 +1,134 @@
+"""The table writer against the per-cell rule it replaced.
+
+`Table` and `write_csv` format a whole row through one template.  The
+oracle below is the old writer: CSV cells are `str(v)` for an int and
+`format(float(v), ".16e")` otherwise (nan and inf included), and a JSON
+table is the generic emitter's list of row objects.  Columns are drawn
+with signed zeros, subnormals, the largest floats, nan and both
+infinities, and integers over the whole int64 range.
+"""
+
+import json
+import os
+import string
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from minlen.serialize import Table, dumps_json, write_csv
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+           1.7976931348623157e308, -1.7976931348623157e308,
+           float("nan"), float("inf"), float("-inf"), 1e-310, 1.0, -1.5]
+
+floats = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                   st.sampled_from(SPECIAL))
+ints = st.integers(-(2**63), 2**63 - 1)
+names = st.text(string.ascii_letters + "_%\"\\ ", min_size=1, max_size=6)
+
+
+@st.composite
+def tables(draw):
+    nrows = draw(st.integers(0, 12))
+    header = draw(st.lists(names, min_size=1, max_size=5, unique=True))
+    columns = []
+    for _ in header:
+        cells = draw(st.sampled_from([ints, floats]))
+        columns.append(draw(st.lists(cells, min_size=nrows, max_size=nrows)))
+    return header, columns
+
+
+def oracle_csv(header, rows):
+    lines = [",".join(header) + "\n"]
+    for row in rows:
+        cells = [str(v) if isinstance(v, int) else format(float(v), ".16e")
+                 for v in row]
+        lines.append(",".join(cells) + "\n")
+    return "".join(lines)
+
+
+def as_arrays(columns):
+    """Each column as the array a caller would pass: int64 when every cell
+    is an int, float64 otherwise."""
+    return [np.array(c, dtype=np.int64 if all(type(v) is int for v in c)
+                     else np.float64) for c in columns]
+
+
+@given(tables())
+@settings(max_examples=300, deadline=None)
+@example((["a", "b"], [[], []]))
+@example((["x%d", "%s"], [[1, -2], [float("nan"), -0.0]]))
+def test_table_matches_per_cell_rule(table):
+    header, columns = table
+    rows = list(zip(*columns))
+    arrays = as_arrays(columns)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "t.csv")
+        write_csv(path, header, arrays)
+        with open(path, "rb") as fh:
+            got = fh.read()
+    assert got == oracle_csv(header, rows).encode()
+    want = dumps_json([dict(zip(header, r)) for r in rows])
+    assert dumps_json(Table(header, arrays)) == want
+    # the same bytes from plain lists of Python numbers
+    assert dumps_json(Table(header, columns)) == want
+
+
+def test_empty_table(tmp_path):
+    assert dumps_json(Table(["a", "b"], [[], []])) == "[]\n"
+    path = tmp_path / "e.csv"
+    write_csv(path, ["a", "b"], [np.array([], dtype=np.int64), []])
+    assert path.read_bytes() == b"a,b\n"
+
+
+def test_nonfinite_json_column_is_null_and_csv_keeps_tokens(tmp_path):
+    col = [1.5, float("nan"), float("inf"), -float("inf"), -0.0]
+    text = dumps_json(Table(["v"], [col]))
+    assert [r["v"] for r in json.loads(text)] == [1.5, None, None, None, 0.0]
+    assert '"v": -0.0000000000000000e+00' in text
+    write_csv(tmp_path / "c.csv", ["v"], [col])
+    assert (tmp_path / "c.csv").read_text().split("\n")[1:-1] == [
+        "1.5000000000000000e+00", "nan", "inf", "-inf",
+        "-0.0000000000000000e+00"]
+
+
+@pytest.mark.parametrize("column", [
+    np.array([True, False]),
+    np.array([1.0, None], dtype=object),
+    ["x", "y"],
+    np.array([1 + 2j, 3j]),
+], ids=["bool", "object", "str", "complex"])
+def test_table_rejects_non_numeric_columns(column, tmp_path):
+    with pytest.raises(TypeError):
+        write_csv(tmp_path / "t.csv", ["a"], [column])
+    with pytest.raises(TypeError):
+        dumps_json(Table(["a"], [column]))
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_table_rejects_ragged_columns():
+    with pytest.raises(ValueError):
+        Table(["a", "b"], [[1.0, 2.0], [1.0]])
+    with pytest.raises(ValueError):
+        Table(["a", "b"], [[1.0]])
+    with pytest.raises(ValueError):
+        Table(["a"], [np.zeros((2, 2))])
+
+
+def test_numpy_scalars_keep_their_json_type():
+    obj = {"t": np.bool_(True), "f": np.bool_(False), "i": np.int64(3),
+           "u": np.uint8(7), "neg": np.int32(-2), "x": np.float32(0.5),
+           "big": np.uint64(2**64 - 1)}
+    assert dumps_json(obj) == (
+        '{"t": true, "f": false, "i": 3, "u": 7, "neg": -2, '
+        '"x": 5.0000000000000000e-01, "big": 18446744073709551615}\n')
+
+
+def test_uint64_column_beyond_int64(tmp_path):
+    col = np.array([2**64 - 1, 0], dtype=np.uint64)
+    write_csv(tmp_path / "u.csv", ["u"], [col])
+    assert (tmp_path / "u.csv").read_text() == "u\n18446744073709551615\n0\n"
+    assert dumps_json(Table(["u"], [col])) == (
+        '[{"u": 18446744073709551615}, {"u": 0}]\n')

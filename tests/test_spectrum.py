@@ -160,8 +160,9 @@ def test_spectrum_table_layout():
         (0, 1), (1, 1), (2, 1), (3, 1), (1, -1), (2, -1), (3, -1),
     ]
     assert not table.unphysical_decrease
-    rows = list(table.rows())
-    assert len(rows) == 7 and len(rows[0]) == 6
+    columns = table.columns()
+    assert len(columns) == len(table.COLUMNS) == 6
+    assert all(len(c) == 7 for c in columns)
 
 
 def test_spectrum_table_rejects_negative_nmax():
