@@ -62,13 +62,13 @@ class Table:
             cols.append(cells)
         return specs, zip(*cols)
 
-    def csv(self) -> str:
+    def csv_text(self) -> str:
         specs, rows = self._rows(for_json=False)
         template = ",".join(specs) + "\n"
         return ",".join(self.header) + "\n" + "".join(
             [template % row for row in rows])
 
-    def json(self) -> str:
+    def json_text(self) -> str:
         specs, rows = self._rows(for_json=True)
         keys = [json.dumps(h).replace("%", "%%") for h in self.header]
         template = "{" + ", ".join(
@@ -104,7 +104,7 @@ def _emit(obj, out: list):
             _emit(v, out)
         out.append("]")
     elif isinstance(obj, Table):
-        out.append(obj.json())
+        out.append(obj.json_text())
     else:
         # numpy floating scalars other than float64, and anything float-like
         try:
@@ -129,6 +129,6 @@ def write_json(path, obj):
 
 def write_csv(path, header, columns):
     """The table of `columns` under `header`, one line per row."""
-    text = Table(header, columns).csv()
+    text = Table(header, columns).csv_text()
     with open(path, "w") as fh:
         fh.write(text)
