@@ -13,13 +13,15 @@ row template built once per table: `%d` for an integer column and
 `FLOAT_FORMAT` for a float column, with the JSON keys encoded into the
 template, so each row is a single `template % row`.  A JSON float column
 holding a non-finite value is rendered cell by cell to text or null first.
-Any other column type (bool, object, strings) is a TypeError.
+Any other column type (bool, object, strings), or a value with no JSON
+spelling (complex, object), is a TypeError; other reals are written as floats.
 """
 
 from __future__ import annotations
 
 import json
 from math import isfinite
+from numbers import Real
 
 import numpy as np
 
@@ -105,14 +107,12 @@ def _emit(obj, out: list):
         out.append("]")
     elif isinstance(obj, Table):
         out.append(obj.json_text())
+    elif isinstance(obj, Real):
+        # numpy floating scalars other than float64, Fraction
+        x = float(obj)
+        out.append(fmt_float(x) if isfinite(x) else "null")
     else:
-        # numpy floating scalars other than float64, and anything float-like
-        try:
-            x = float(obj)
-        except (TypeError, ValueError):
-            out.append(json.dumps(str(obj)))
-        else:
-            out.append(fmt_float(x) if isfinite(x) else "null")
+        raise TypeError(f"cannot write a {type(obj).__name__} value as JSON")
 
 
 def dumps_json(obj) -> str:

@@ -4,7 +4,8 @@ Each verify_* function rebuilds the operators from scratch over an exact
 coefficient ring, normal-orders both sides of every identity and reports
 whether the difference collapses to zero.  Failures are reported, never
 raised.  The `tamper` argument injects named coefficient perturbations so
-that tests can confirm each identity actually constrains the algebra.
+that tests can confirm each identity actually constrains the algebra; a
+name the suite does not define is a ValueError.
 """
 
 from __future__ import annotations
@@ -127,6 +128,12 @@ class TransformationSpec:
         return cls("translation", da=tuple(da))
 
 
+def _check_tamper(tamper, *known):
+    for name in tamper:
+        if name not in known:
+            raise ValueError(f"unknown tamper {name!r}, not one of {known}")
+
+
 def _position_momentum(ring: Ring):
     """The operator lists X^mu and P^mu over every momentum index."""
     n = ring.nmom
@@ -162,6 +169,9 @@ def verify_algebra(
     st: Spacetime, params: SymbolicParams = None, tamper=()
 ) -> VerificationReport:
     """Check the three covariant commutation relations for every index pair."""
+    _check_tamper(
+        tamper, "xp-betap-doubled", "xp-w-dropped", "xx-s-term-dropped"
+    )
     params = params or SymbolicParams()
     ring = params.ring(st.metric)
     return _algebra_suite(ring, "algebra", tamper)
@@ -208,6 +218,7 @@ def verify_poincare(
     st: Spacetime, params: SymbolicParams = None, tamper=()
 ) -> VerificationReport:
     """Deformed Lorentz/translation generators realize undeformed iso(D,1)."""
+    _check_tamper(tamper, "phat-no-u")
     params = params or SymbolicParams()
     ring = params.ring(st.metric)
     n = ring.nmom
@@ -370,6 +381,7 @@ def verify_transformations(
     elementary antisymmetric delta-omega and every elementary delta-a is
     equivalent to a fully symbolic parameter matrix.
     """
+    _check_tamper(tamper, "trans-gfun-wrong")
     params = params or SymbolicParams()
     ring = params.ring(st.metric)
     n = ring.nmom
@@ -389,6 +401,8 @@ def verify_transformations(
     rep = VerificationReport("transformations")
 
     for si, spec in enumerate(specs):
+        if len(spec.domega if spec.kind == "lorentz" else spec.da) != n:
+            raise ValueError(f"a spec at D = {st.D} needs size {n} (D + 1)")
         dX, dp = _variations(ring, X, spec, tamper)
         tag = f"{spec.kind}-{si}"
         if spec.kind == "lorentz":

@@ -2,9 +2,9 @@
 
 An operator is a finite sum of terms c(p) * d^a, with the coefficient (a
 Coef) written to the left of the derivative monomial d^a (a multi-index over
-the momentum components).  This normal form is unique, so operator equality
-is term-list equality.  Composition moves derivatives past coefficients with
-the Leibniz rule.
+the momentum components).  This normal form is unique up to the value
+equality of Coef, so operators are equal iff their terms are.  Composition
+moves derivatives past coefficients with the Leibniz rule.
 """
 
 from __future__ import annotations
@@ -68,10 +68,7 @@ class Op:
 
     def scale(self, f) -> "Op":
         """Left-multiply by a scalar function (Coef/Poly/number)."""
-        if isinstance(f, (int, Fraction)):
-            f = Coef(Poly.const(self.ring, f))
-        f = Coef.of(f)
-        return Op(self.ring, {a: f * c for a, c in self.terms.items()})
+        return Op(self.ring, {a: c * f for a, c in self.terms.items()})
 
     # ---- composition ---------------------------------------------------
     def __matmul__(self, other: "Op") -> "Op":
@@ -107,9 +104,6 @@ class Op:
         if not isinstance(other, Op):
             return NotImplemented
         return self.ring == other.ring and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
 
     # ---- action on functions --------------------------------------------
     def apply(self, f) -> Coef:
@@ -213,9 +207,13 @@ def _angular(position, ring: Ring, a: int, b: int) -> Op:
 
 
 def lorentz_generator(ring: Ring, a: int, b: int) -> Op:
-    """L_{ab} = w^-1 (X_a P_b - X_b P_a)."""
-    raw = _angular(deformed_position, ring, a, b)
-    return raw.scale(Coef(Poly.one(ring), 1))
+    """L_{ab} = w^-1 (X_a P_b - X_b P_a), divided out exactly; a coefficient
+    w does not divide (a wrong X) keeps w^-1, a lhat-simplify residual."""
+    terms = {}
+    for k, c in _angular(deformed_position, ring, a, b).terms.items():
+        q = c.num.exact_div(ring.w)
+        terms[k] = Coef(c.num, c.wpow + 1) if q is None else Coef(q, c.wpow)
+    return Op(ring, terms)
 
 
 def undeformed_lorentz_generator(ring: Ring, a: int, b: int) -> Op:

@@ -7,11 +7,12 @@ identities handled here are polynomial in i*hbar, so i and hbar are never
 separated).  A rational coefficient is stored as an int when it is integral
 and as a Fraction otherwise.
 
-A coefficient is a pair num * w^(-k).  Canonical form divides out every
-exact factor of w from num, which realizes the rewrite u * (1 - beta*s) -> 1
-for the auxiliary inverse u = w^(-1).  Equality of canonical forms is
-syntactic: monomials are exponent tuples ordered lexicographically with the
-symbol order above (earlier symbol = more significant).
+A coefficient is a pair num * w^(-k), stored as built with no factor of w
+divided out, so there is no canonical form: a == b iff the numerator of
+a - b is the zero polynomial, which no power of w changes.  The Lorentz
+generator holds the one division by w (Poly.exact_div).  Monomials are
+exponent tuples in lex order of the symbols above (earlier = more
+significant).
 """
 
 from __future__ import annotations
@@ -231,8 +232,6 @@ class Poly:
         """
         if d.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
-        if d == Poly.one(self.ring):
-            return self
         rem = dict(self.terms)
         q = {}
         dl = max(d.terms)
@@ -277,23 +276,17 @@ class Poly:
 
 
 class Coef:
-    """A localized coefficient num * w^(-wpow) in canonical form."""
+    """A localized coefficient num * w^(-wpow), kept as built (wpow 0 when
+    num = 0 or w = 1).  Compare values with ==, not by fields; unhashable,
+    as a hash consistent with == would need a canonical form."""
 
     __slots__ = ("num", "wpow")
 
     def __init__(self, num: Poly, wpow: int = 0):
         if wpow < 0:
             raise ValueError("wpow must be nonnegative")
-        ring = num.ring
-        if num.is_zero or ring.w_is_one:
+        if num.is_zero or num.ring.w_is_one:
             wpow = 0
-        else:
-            while wpow > 0:
-                q = num.exact_div(ring.w)
-                if q is None:
-                    break
-                num = q
-                wpow -= 1
         self.num = num
         self.wpow = wpow
 
@@ -342,11 +335,7 @@ class Coef:
     __radd__ = __add__
 
     def __neg__(self):
-        # negation keeps the canonical form, so skip canonicalization
-        out = Coef.__new__(Coef)
-        out.num = -self.num
-        out.wpow = self.wpow
-        return out
+        return Coef(-self.num, self.wpow)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -366,13 +355,8 @@ class Coef:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.num == other.num and self.wpow == other.wpow
-
-    def __hash__(self):
-        return hash((self.num, self.wpow))
+        diff = self.__sub__(other)
+        return diff if diff is NotImplemented else diff.is_zero
 
     @property
     def is_zero(self):

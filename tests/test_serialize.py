@@ -12,6 +12,7 @@ import json
 import os
 import string
 import tempfile
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -132,3 +133,19 @@ def test_uint64_column_beyond_int64(tmp_path):
     assert (tmp_path / "u.csv").read_text() == "u\n18446744073709551615\n0\n"
     assert dumps_json(Table(["u"], [col])) == (
         '[{"u": 18446744073709551615}, {"u": 0}]\n')
+
+
+def test_real_scalars_are_written_as_floats():
+    obj = {"q": Fraction(1, 4), "h": np.float16(-2.0),
+           "ld": np.longdouble(0.5), "nan": np.float32("nan")}
+    assert dumps_json(obj) == (
+        '{"q": 2.5000000000000000e-01, "h": -2.0000000000000000e+00, '
+        '"ld": 5.0000000000000000e-01, "nan": null}\n')
+
+
+@pytest.mark.parametrize("value", [
+    object(), 1 + 2j, np.complex128(1j), {1}, b"x",
+], ids=["object", "complex", "numpy-complex", "set", "bytes"])
+def test_values_without_json_spelling_are_rejected(value):
+    with pytest.raises(TypeError):
+        dumps_json({"o": value})

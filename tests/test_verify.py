@@ -1,11 +1,14 @@
 """Identity-verification suites: passing runs, mutation runs, reporting."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from minlen.core import Spacetime
 from minlen.serialize import dumps_json
+from minlen.symbolic import operator
+from minlen.symbolic.poly import Poly, Ring
 from minlen.symbolic.identities import (
     SymbolicParams,
     TransformationSpec,
@@ -120,6 +123,64 @@ def test_transformation_spec_validation():
     # well-formed specs round-trip through the constructors
     TransformationSpec.rotation(arena, 0, 1)
     TransformationSpec.translation(arena, 1)
+
+
+def test_transformation_spec_size_must_be_d_plus_one():
+    short = TransformationSpec("translation", da=(1,))
+    with pytest.raises(ValueError, match="needs size 4"):
+        verify_transformations(Spacetime(3), specs=[short])
+    # a D = 3 rotation in the (2,3) plane is not a D = 1 transformation
+    rot = TransformationSpec.rotation(Spacetime(3), 2, 3)
+    with pytest.raises(ValueError, match="needs size 2"):
+        verify_transformations(Spacetime(1), specs=[rot])
+
+
+@pytest.mark.parametrize(
+    "suite,tamper",
+    [
+        (verify_algebra, "xp-betap-dubled"),
+        (verify_algebra, "phat-no-u"),
+        (verify_poincare, "phat-no-w"),
+        (verify_poincare, "xp-w-dropped"),
+        (verify_transformations, "trans-gfun-rong"),
+        (verify_transformations, "xx-s-term-dropped"),
+    ],
+)
+def test_unknown_tamper_is_rejected(suite, tamper):
+    # a misspelt or foreign tamper must not run the untampered suite
+    with pytest.raises(ValueError, match="unknown tamper"):
+        suite(Spacetime(2), tamper=(tamper,))
+
+
+def test_exact_div_only_for_lorentz_generators(monkeypatch):
+    st = Spacetime(2)
+    ring = Ring(st.metric)
+    bound = sum(
+        operator.lorentz_generator(ring, a, b).term_count
+        for a, b in combinations(range(ring.nmom), 2)
+    )
+    divide = Poly.exact_div
+    calls = []
+
+    def counted(self, d):
+        calls.append(d)
+        return divide(self, d)
+
+    monkeypatch.setattr(Poly, "exact_div", counted)
+    assert verify_transformations(st).passed
+    assert 0 < len(calls) <= bound
+
+
+def test_wrong_position_operator_leaves_lhat_residual(monkeypatch):
+    # w then does not divide the bracket of L-hat; that is a failed check,
+    # not an exception
+    monkeypatch.setattr(
+        operator, "deformed_position", operator.undeformed_position
+    )
+    rep = verify_poincare(Spacetime(1))
+    check = {c.identity_id: c for c in rep.checks}["lhat-simplify-01"]
+    assert not check.passed
+    assert check.residual_term_count > 0
 
 
 def test_reductions_pass():
