@@ -1,5 +1,7 @@
 """Identity-verification suites: passing runs, mutation runs, reporting."""
 
+import json
+import os
 from fractions import Fraction
 from itertools import combinations
 
@@ -12,6 +14,7 @@ from minlen.symbolic.poly import Poly, Ring
 from minlen.symbolic.identities import (
     SymbolicParams,
     TransformationSpec,
+    VerificationReport,
     verify_algebra,
     verify_poincare,
     verify_reductions,
@@ -210,3 +213,57 @@ def test_report_serialization_shape():
     assert text.startswith("{") and text.endswith("}\n")
     # byte-stable across repeated runs
     assert text == dumps_json(verify_algebra(Spacetime(1)).to_dict())
+
+
+RESIDUAL_REPRS = os.path.join(os.path.dirname(__file__), "residual_reprs.json")
+
+
+def rational_residual_reprs():
+    """repr of every nonzero residual of runs whose residuals have rational
+    coefficients: trans-gfun-wrong with translations by 3/7 at D = 1, 2 and
+    the tampered suites over a ring with beta pinned to 1/7, keyed by run
+    and identity.  Record with json.dumps(..., indent=1) + newline."""
+    pinned = SymbolicParams(beta=Fraction(1, 7))
+    runs = {
+        f"trans-gfun-wrong-D{D}": lambda D=D: verify_transformations(
+            Spacetime(D),
+            specs=[
+                TransformationSpec.translation(Spacetime(D), a, Fraction(3, 7))
+                for a in range(D + 1)
+            ],
+            tamper=("trans-gfun-wrong",),
+        )
+        for D in (1, 2)
+    }
+    for tamper in ("xp-betap-doubled", "xp-w-dropped", "xx-s-term-dropped"):
+        runs[f"algebra-beta1/7-{tamper}"] = lambda t=tamper: verify_algebra(
+            Spacetime(1), pinned, tamper=(t,)
+        )
+    runs["poincare-beta1/7-phat-no-u"] = lambda: verify_poincare(
+        Spacetime(1), pinned, tamper=("phat-no-u",)
+    )
+    out = {}
+    record = VerificationReport.record
+    try:
+        for name, run in runs.items():
+            seen = out[name] = {}
+
+            def spy(self, identity_id, latex_tag, residual, seen=seen):
+                if not residual.is_zero:
+                    seen[identity_id] = repr(residual)
+                return record(self, identity_id, latex_tag, residual)
+
+            VerificationReport.record = spy
+            run()
+    finally:
+        VerificationReport.record = record
+    return out
+
+
+def test_rational_residual_reprs_are_pinned():
+    # residuals print their exact rational coefficients; the recorded text
+    # predates the packed, content-denominator kernel
+    with open(RESIDUAL_REPRS) as fh:
+        expected = fh.read()
+    got = json.dumps(rational_residual_reprs(), indent=1) + "\n"
+    assert got == expected
