@@ -55,7 +55,8 @@ class Op:
             return NotImplemented
         out = dict(self.terms)
         for a, c in other.terms.items():
-            out[a] = out.get(a, Coef.zero(self.ring)) + c
+            prev = out.get(a)
+            out[a] = c if prev is None else prev + c
         return Op(self.ring, out)
 
     def __neg__(self):
@@ -88,7 +89,8 @@ class Op:
                     if coef.is_zero:
                         continue
                     e = tuple(ai - ki + bi for ai, ki, bi in zip(a, k, b))
-                    out[e] = out.get(e, Coef.zero(self.ring)) + coef
+                    prev = out.get(e)
+                    out[e] = coef if prev is None else prev + coef
         return Op(self.ring, out)
 
     # ---- predicates -----------------------------------------------------
@@ -175,7 +177,8 @@ def deformed_position(ring: Ring, mu: int) -> Op:
     def add(a, poly):
         key = tuple(a)
         c = Coef(poly)
-        terms[key] = terms.get(key, Coef.zero(ring)) + c
+        prev = terms.get(key)
+        terms[key] = c if prev is None else prev + c
 
     # (1 - beta s) x^mu  ->  -h g_mu w on d_mu
     a = [0] * nm

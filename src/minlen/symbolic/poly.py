@@ -4,23 +4,40 @@ Coefficients live in Q[h, beta, betap, gamma, p0, ..., pD] localized at
 w = 1 - beta * s, where s = sum_mu g_mu (p^mu)^2 is the metric square of the
 momentum.  The symbol h stands for the single central element i*hbar (all
 identities handled here are polynomial in i*hbar, so i and hbar are never
-separated).  A rational coefficient is stored as an int when it is integral
-and as a Fraction otherwise.
+separated).
+
+A monomial is one packed int: a field of FIELD_BITS bits per symbol, in lex
+order of the symbols above with h in the most significant field.  The top
+bit of each field is a guard bit, so an exponent is at most FIELD_MAX.  A
+monomial product is one integer addition; the sum of two fields never
+carries into the next field, it can only set that field's guard bit, and
+Poly.__mul__ raises OverflowError when it does.  Integer order of packed
+monomials is the lex order of their exponent tuples.
+
+A Poly holds integer numerators over one content denominator den > 0,
+kept reduced: gcd(den, *numerators) == 1, and den == 1 for the zero
+polynomial.  Each rational polynomial thus has one representation, and
+products, sums and derivatives run on ints.  Rationals enter through the
+public constructor and Poly.const only.
 
 A coefficient is a pair num * w^(-k), stored as built with no factor of w
 divided out, so there is no canonical form: a == b iff the numerator of
 a - b is the zero polynomial, which no power of w changes.  The Lorentz
-generator holds the one division by w (Poly.exact_div).  Monomials are
-exponent tuples in lex order of the symbols above (earlier = more
-significant).
+generator holds the one division by w (Poly.exact_div).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from math import gcd, lcm
+from operator import or_
 
 
 BASE_SYMBOLS = ("h", "beta", "betap", "gamma")
+
+FIELD_BITS = 8
+FIELD_MAX = (1 << (FIELD_BITS - 1)) - 1  # the largest exponent of a symbol
 
 
 class Ring:
@@ -39,15 +56,44 @@ class Ring:
         )
         self.nsym = len(self.names)
         self.index = {n: i for i, n in enumerate(self.names)}
+        # bit offset of each symbol's field, and every field's guard bit
+        self.shifts = tuple(
+            FIELD_BITS * (self.nsym - 1 - i) for i in range(self.nsym)
+        )
+        self.guard = sum(1 << (s + FIELD_BITS - 1) for s in self.shifts)
         self.subs = {}
         for name, val in (("beta", beta), ("betap", betap), ("gamma", gamma)):
             if val is not None:
                 self.subs[name] = Fraction(val)
-        self._zero_exp = (0,) * self.nsym
         self.momenta = tuple(Poly.momentum(self, j) for j in range(self.nmom))
         self.s = self.metric_square(self.momenta)
         self.w = self.w_of(self.s)
         self.w_is_one = self.w == Poly.one(self)
+        self._w_powers = [Poly.one(self), self.w]
+
+    def pack(self, exponents) -> int:
+        """The packed monomial of an exponent tuple (one entry per symbol)."""
+        if len(exponents) != self.nsym:
+            raise ValueError(f"a monomial needs {self.nsym} exponents")
+        e = 0
+        for k in exponents:
+            if k < 0:
+                raise ValueError("exponents must be nonnegative")
+            if k > FIELD_MAX:
+                raise OverflowError(f"exponent {k} exceeds {FIELD_MAX}")
+            e = (e << FIELD_BITS) | k
+        return e
+
+    def unpack(self, e: int) -> tuple:
+        """The exponent tuple of a packed monomial."""
+        return tuple((e >> s) & FIELD_MAX for s in self.shifts)
+
+    def w_power(self, k: int) -> "Poly":
+        """w^k, computed once per ring and power."""
+        powers = self._w_powers
+        while len(powers) <= k:
+            powers.append(powers[-1] * self.w)
+        return powers[k]
 
     def metric_square(self, p) -> "Poly":
         """s = sum_mu g_mu (p^mu)^2 over momentum polynomials p^0, p^1, ..."""
@@ -93,43 +139,74 @@ class Ring:
         return f"Ring(metric={self.metric}, subs={self.subs})"
 
 
-class Poly:
-    """Multivariate polynomial with rational (int or Fraction) coefficients,
-    stored as a map from exponent tuples to coefficients."""
+_new = object.__new__
 
-    __slots__ = ("ring", "terms")
+
+def _poly(ring, terms, den=1):
+    """Trusted constructor for internal results: terms maps packed monomials
+    to nonzero ints over den > 0; the content they share is divided out."""
+    if den != 1:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            den //= g
+            terms = {e: c // g for e, c in terms.items()}
+    p = _new(Poly)
+    p.ring = ring
+    p.terms = terms
+    p.den = den
+    return p
+
+
+class Poly:
+    """Multivariate polynomial with rational coefficients: `terms` maps each
+    packed monomial to a nonzero int numerator over the common positive
+    denominator `den`, with gcd(den, *terms.values()) == 1."""
+
+    __slots__ = ("ring", "terms", "den")
 
     def __init__(self, ring: Ring, terms: dict):
-        self.ring = ring
-        self.terms = {
-            e: c.numerator if c.denominator == 1 else c
+        """terms maps packed monomials (Ring.pack) to ints or Fractions."""
+        top = 1 << (FIELD_BITS * ring.nsym)
+        for e, c in terms.items():
+            if type(e) is not int or not 0 <= e < top or e & ring.guard:
+                raise ValueError(f"{e!r} is not a packed monomial of {ring}")
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"coefficient {c!r} is not an int or Fraction")
+        den = lcm(*(c.denominator for c in terms.values()))
+        nums = {
+            e: c.numerator * (den // c.denominator)
             for e, c in terms.items()
             if c
         }
+        p = _poly(ring, nums, den)
+        self.ring, self.terms, self.den = ring, p.terms, p.den
 
     # ---- constructors -------------------------------------------------
     @classmethod
     def zero(cls, ring):
-        return cls(ring, {})
+        return _poly(ring, {})
 
     @classmethod
     def one(cls, ring):
-        return cls.const(ring, 1)
+        return _poly(ring, {0: 1})
 
     @classmethod
     def const(cls, ring, c):
-        return cls(ring, {ring._zero_exp: Fraction(c)})
+        return cls(ring, {0: c if type(c) is int else Fraction(c)})
 
     @classmethod
     def symbol(cls, ring, name):
-        e = [0] * ring.nsym
-        e[ring.index[name]] = 1
-        return cls(ring, {tuple(e): 1})
+        return _poly(ring, {1 << ring.shifts[ring.index[name]]: 1})
 
     @classmethod
     def momentum(cls, ring, mu):
         """Contravariant momentum component p^mu (local index mu)."""
         return cls.symbol(ring, ring.names[ring.momentum_index(mu)])
+
+    def coefficients(self) -> dict:
+        """The polynomial as a map from exponent tuples to Fractions."""
+        unpack, den = self.ring.unpack, self.den
+        return {unpack(e): Fraction(c, den) for e, c in self.terms.items()}
 
     # ---- ring operations ----------------------------------------------
     def _coerce(self, other):
@@ -140,18 +217,36 @@ class Poly:
         return NotImplemented
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return Poly(self.ring, out)
+        if type(other) is not Poly:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self.terms, other.terms
+        den = self.den
+        if den == other.den:
+            if len(a) < len(b):
+                a, b = b, a
+            out = dict(a)
+        else:
+            g = gcd(den, other.den)
+            fa, fb = other.den // g, den // g
+            out = {e: c * fa for e, c in a.items()}
+            b = {e: c * fb for e, c in b.items()}
+            den *= fa
+        for e, c in b.items():
+            c += out.get(e, 0)
+            if c:
+                out[e] = c
+            else:
+                del out[e]
+        return _poly(self.ring, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.ring, {e: -c for e, c in self.terms.items()})
+        return _poly(
+            self.ring, {e: -c for e, c in self.terms.items()}, self.den
+        )
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -163,15 +258,22 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Poly:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        ring = self.ring
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return Poly(self.ring, out)
+        get = out.get
+        for e2, c2 in other.terms.items():
+            for e1, c1 in self.terms.items():
+                e = e1 + e2
+                out[e] = get(e, 0) + c1 * c2
+        if 0 in out.values():
+            out = {e: c for e, c in out.items() if c}
+        if out and reduce(or_, out) & ring.guard:
+            raise OverflowError(f"a product has an exponent over {FIELD_MAX}")
+        return _poly(ring, out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -187,10 +289,14 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return (
+            self.ring == other.ring
+            and self.den == other.den
+            and self.terms == other.terms
+        )
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
+        return hash((self.ring, frozenset(self.terms.items()), self.den))
 
     @property
     def is_zero(self):
@@ -201,21 +307,19 @@ class Poly:
 
     # ---- calculus and evaluation --------------------------------------
     def diff(self, sym_index: int) -> "Poly":
+        shift = self.ring.shifts[sym_index]
+        unit = 1 << shift
         out = {}
         for e, c in self.terms.items():
-            k = e[sym_index]
-            if k == 0:
-                continue
-            e2 = list(e)
-            e2[sym_index] = k - 1
-            e2 = tuple(e2)
-            out[e2] = out.get(e2, 0) + c * k
-        return Poly(self.ring, out)
+            k = (e >> shift) & FIELD_MAX
+            if k:
+                out[e - unit] = c * k
+        return _poly(self.ring, out, self.den)
 
     def eval(self, values: dict):
         """Evaluate at exact values; `values` maps symbol name -> Fraction."""
         total = Fraction(0)
-        for e, c in self.terms.items():
+        for e, c in self.coefficients().items():
             term = c
             for i, k in enumerate(e):
                 if k:
@@ -232,23 +336,26 @@ class Poly:
         """
         if d.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
-        rem = dict(self.terms)
+        guard = self.ring.guard
+        rem = {e: Fraction(c, self.den) for e, c in self.terms.items()}
         q = {}
         dl = max(d.terms)
-        dc = d.terms[dl]
-        n = self.ring.nsym
+        dc = Fraction(d.terms[dl], d.den)
+        rest = [(e, Fraction(c, d.den)) for e, c in d.terms.items() if e != dl]
         while rem:
             m = max(rem)
             c = rem.pop(m)
-            if any(m[i] < dl[i] for i in range(n)):
+            # m | guard lends each field of m 2^(FIELD_BITS-1), so no borrow
+            # crosses a field; a cleared guard bit marks a field below dl's
+            if ((m | guard) - dl) & guard != guard:
                 return None
-            e = tuple(m[i] - dl[i] for i in range(n))
-            coef = c // dc if not c % dc else Fraction(c, dc)
-            q[e] = q.get(e, 0) + coef
-            for de, dcoef in d.terms.items():
-                if de == dl:
-                    continue
-                me = tuple(e[i] + de[i] for i in range(n))
+            e = m - dl
+            q[e] = coef = c / dc
+            for de, dcoef in rest:
+                me = e + de
+                if me & guard:
+                    raise OverflowError(
+                        f"a quotient term has an exponent over {FIELD_MAX}")
                 nc = rem.get(me, 0) - coef * dcoef
                 if nc:
                     rem[me] = nc
@@ -261,8 +368,7 @@ class Poly:
         if not self.terms:
             return "0"
         parts = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
+        for e, c in sorted(self.coefficients().items(), reverse=True):
             factors = []
             if c != 1 or not any(e):
                 factors.append(str(c))
@@ -330,7 +436,7 @@ class Coef:
         """The numerator over the common denominator w^k, k >= wpow."""
         if k == self.wpow:
             return self.num
-        return self.num * self.ring.w ** (k - self.wpow)
+        return self.num * self.ring.w_power(k - self.wpow)
 
     __radd__ = __add__
 

@@ -35,7 +35,7 @@ def small_ops(draw, D=1, max_terms=3):
         a = tuple(draw(st.integers(0, 2)) for _ in range(ring.nmom))
         e = tuple(draw(st.integers(0, 2)) for _ in range(ring.nsym))
         c = draw(st.fractions(min_value=-5, max_value=5, max_denominator=6))
-        poly = Poly(ring, {e: c})
+        poly = Poly(ring, {ring.pack(e): c})
         terms[a] = terms.get(a, Coef.zero(ring)) + Coef(poly)
     return Op(ring, terms)
 

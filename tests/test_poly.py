@@ -1,12 +1,20 @@
 """Exact polynomial ring and localized coefficients."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from minlen.core import Spacetime
-from minlen.symbolic.poly import BASE_SYMBOLS, Coef, Poly, Ring
+from minlen.symbolic.poly import (
+    BASE_SYMBOLS,
+    FIELD_BITS,
+    FIELD_MAX,
+    Coef,
+    Poly,
+    Ring,
+)
 
 
 def mink_ring(D=2, **subs):
@@ -17,8 +25,8 @@ def random_poly(draw, ring, max_terms=4, max_exp=3):
     terms = {}
     nterms = draw(st.integers(0, max_terms))
     for _ in range(nterms):
-        e = tuple(
-            draw(st.integers(0, max_exp)) for _ in range(ring.nsym)
+        e = ring.pack(
+            tuple(draw(st.integers(0, max_exp)) for _ in range(ring.nsym))
         )
         c = draw(
             st.fractions(min_value=-9, max_value=9, max_denominator=12)
@@ -110,7 +118,7 @@ def test_exact_div_by_zero():
 def test_eval_matches_structure(a):
     vals = {n: Fraction(k + 2, 3) for k, n in enumerate(a.ring.names)}
     total = Fraction(0)
-    for e, c in a.terms.items():
+    for e, c in a.coefficients().items():
         t = c
         for i, k in enumerate(e):
             t *= Fraction(vals[a.ring.names[i]]) ** k
@@ -118,14 +126,17 @@ def test_eval_matches_structure(a):
     assert a.eval(vals) == total
 
 
-def assert_exact_coefficients(a):
-    for c in a.terms.values():
-        assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
+def assert_reduced(a):
+    # nonzero int numerators over a positive denominator coprime to them
+    # (so den == 1 for the zero polynomial)
+    assert type(a.den) is int and a.den > 0
+    assert all(type(c) is int and c for c in a.terms.values())
+    assert gcd(a.den, *a.terms.values()) == 1
 
 
 @given(polys(), polys(), st.integers(1, 12))
 @settings(max_examples=60)
-def test_coefficients_are_int_or_proper_fraction(a, b, k):
+def test_coefficients_keep_reduced_denominator(a, b, k):
     ring = a.ring
     i = ring.momentum_index(0)
     results = [a + b, a - b, a * b, a.diff(i), (a * ring.w).exact_div(ring.w)]
@@ -133,7 +144,7 @@ def test_coefficients_are_int_or_proper_fraction(a, b, k):
     if b:
         results.append((a * b).exact_div(b))
     for r in results:
-        assert_exact_coefficients(r)
+        assert_reduced(r)
 
 
 def test_exact_div_fractional_quotient():
@@ -141,15 +152,148 @@ def test_exact_div_fractional_quotient():
     p0 = Poly.momentum(ring, 0)
     q = (2 * (3 * p0 + 1)).exact_div(Poly.const(ring, 4))
     assert q == p0 * Fraction(3, 2) + Fraction(1, 2)
-    assert_exact_coefficients(q)
-    assert_exact_coefficients(q * 2)  # 3 p0 + 1, back to ints
+    assert_reduced(q)
+    assert q.den == 2
+    assert_reduced(q * 2)  # 3 p0 + 1, back to ints
+    assert (q * 2).den == 1
 
 
 def test_integral_fraction_is_stored_as_int():
     ring = mink_ring(1)
     a, b = Poly.const(ring, Fraction(4, 2)), Poly.const(ring, 2)
     assert a == b and hash(a) == hash(b)
-    assert type(a.terms[ring._zero_exp]) is int
+    assert a.den == 1
+    assert type(a.terms[ring.pack((0,) * ring.nsym)]) is int
+
+
+# ---- packed kernel against exponent-tuple arithmetic ----------------------
+# The oracle keeps a polynomial as {exponent tuple: Fraction}, the storage the
+# packed monomials and content denominator replaced.
+
+
+def oracle_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def oracle_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def oracle_diff(a, i):
+    out = {}
+    for e, c in a.items():
+        if e[i]:
+            out[e[:i] + (e[i] - 1,) + e[i + 1 :]] = c * e[i]
+    return out
+
+
+# small exponents, and ones whose pairwise sums reach FIELD_MAX exactly
+EXPONENTS = st.one_of(
+    st.integers(0, 3), st.integers(FIELD_MAX // 2 - 1, FIELD_MAX // 2)
+)
+
+
+@st.composite
+def tuple_polys(draw, ring):
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        e = tuple(draw(EXPONENTS) for _ in range(ring.nsym))
+        c = draw(st.fractions(min_value=-9, max_value=9, max_denominator=12))
+        terms[e] = terms.get(e, Fraction(0)) + c
+    return {e: c for e, c in terms.items() if c}
+
+
+def from_tuples(ring, a):
+    return Poly(ring, {ring.pack(e): c for e, c in a.items()})
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_tuple_oracle(data):
+    ring = mink_ring(data.draw(st.integers(1, 3)))
+    a, b = data.draw(tuple_polys(ring)), data.draw(tuple_polys(ring))
+    pa, pb = from_tuples(ring, a), from_tuples(ring, b)
+    i = data.draw(st.integers(0, ring.nsym - 1))
+    assert pa.coefficients() == a
+    cases = [
+        (pa + pb, oracle_add(a, b)),
+        (pa - pb, oracle_add(a, {e: -c for e, c in b.items()})),
+        (pa * pb, oracle_mul(a, b)),
+        (pa.diff(i), oracle_diff(a, i)),
+    ]
+    for got, want in cases:
+        assert got.coefficients() == want
+        assert_reduced(got)
+    # integer order of packed monomials is lex order of exponent tuples
+    assert sorted(a, key=ring.pack) == sorted(a)
+    assert max(pa.terms, default=None) == (ring.pack(max(a)) if a else None)
+
+
+@given(
+    st.lists(st.integers(0, FIELD_MAX), min_size=7, max_size=7),
+    st.lists(st.integers(-2, 1), min_size=7, max_size=7),
+)
+@settings(max_examples=150)
+def test_packed_order_and_overflow(e1, slack):
+    # e2 brings each field of the product to FIELD_MAX + slack, so about
+    # one product in seven stays in range and the rest overflow
+    ring = mink_ring(2)
+    e1 = tuple(e1)
+    e2 = tuple(
+        max(0, min(FIELD_MAX, FIELD_MAX - a + d)) for a, d in zip(e1, slack)
+    )
+    k1, k2 = ring.pack(e1), ring.pack(e2)
+    assert ring.unpack(k1) == e1 and ring.unpack(k2) == e2
+    assert (k1 < k2) == (e1 < e2)
+    x, y = Poly(ring, {k1: 1}), Poly(ring, {k2: 1})
+    total = tuple(a + b for a, b in zip(e1, e2))
+    if max(total) > FIELD_MAX:
+        with pytest.raises(OverflowError):
+            x * y
+    else:
+        assert (x * y).coefficients() == {total: 1}
+
+
+def test_power_past_field_width_raises():
+    ring = mink_ring(2)
+    for name in (ring.names[0], ring.names[-1]):  # top and bottom fields
+        x = Poly.symbol(ring, name)
+        top = tuple(FIELD_MAX if n == name else 0 for n in ring.names)
+        assert (x**FIELD_MAX).coefficients() == {top: 1}
+        with pytest.raises(OverflowError):
+            x ** (FIELD_MAX + 1)
+    with pytest.raises(OverflowError):
+        ring.pack((FIELD_MAX + 1,) + (0,) * (ring.nsym - 1))
+    # dividing by w, whose lex-leading term is beta p0^2, reaches p2^(127+2)
+    # through its beta p2^2 term
+    beta, p0, p2 = (Poly.symbol(ring, n) for n in ("beta", "p0", "p2"))
+    with pytest.raises(OverflowError):
+        (beta * p0 * p0 * p2**FIELD_MAX).exact_div(ring.w)
+
+
+def test_constructor_checks_monomials_and_coefficients():
+    ring = mink_ring(1)
+    guard = 1 << (FIELD_BITS - 1)  # the guard bit of the last field
+    for e in (-1, guard, ring.pack((1,) * ring.nsym) << FIELD_BITS, (0,) * 6):
+        with pytest.raises(ValueError):
+            Poly(ring, {e: 1})
+    with pytest.raises(TypeError):
+        Poly(ring, {0: 0.5})
+
+
+def test_w_powers_are_cached():
+    ring = mink_ring(2)
+    assert ring.w_power(3) == ring.w * ring.w * ring.w
+    assert ring.w_power(3) is ring.w_power(3)
+    assert ring.w_power(0) == Poly.one(ring)
 
 
 # ---- Coef ------------------------------------------------------------------
