@@ -139,9 +139,6 @@ class Ring:
         return f"Ring(metric={self.metric}, subs={self.subs})"
 
 
-_new = object.__new__
-
-
 def _poly(ring, terms, den=1):
     """Trusted constructor for internal results: terms maps packed monomials
     to nonzero ints over den > 0; the content they share is divided out."""
@@ -150,7 +147,7 @@ def _poly(ring, terms, den=1):
         if g != 1:
             den //= g
             terms = {e: c // g for e, c in terms.items()}
-    p = _new(Poly)
+    p = object.__new__(Poly)
     p.ring = ring
     p.terms = terms
     p.den = den

@@ -261,8 +261,9 @@ def rational_residual_reprs():
 
 
 def test_rational_residual_reprs_are_pinned():
-    # residuals print their exact rational coefficients; the recorded text
-    # predates the packed, content-denominator kernel
+    # a residual prints its exact rational coefficients, its term order and
+    # its power of w; the file pins that text, so a change of storage that
+    # alters it shows here
     with open(RESIDUAL_REPRS) as fh:
         expected = fh.read()
     got = json.dumps(rational_residual_reprs(), indent=1) + "\n"
