@@ -29,6 +29,7 @@ from .symbolic.identities import (
     verify_transformations,
 )
 from .oscillator.spectrum import (
+    AcceptabilityError,
     DOParams,
     QuantumNumber,
     UnphysicalDeformationError,
@@ -217,6 +218,9 @@ def cmd_uncertainty(args):
     ok = True
     for n in range(args.n_max + 1):
         wf = wavefunction(params, QuantumNumber(n, 1), grid)
+        if not abs(wf.norm_squared() - 1.0) <= 1e-8:
+            # samples that underflow to 0 at every node cannot be normalized
+            raise FloatingPointError(f"the grid cannot normalize level {n}")
         rec = uncertainty_report(wf, params)
         # rounding-scale tolerance on the inequality; a nan slack (bt wt
         # >= 2, where dX and dP diverge) fails
@@ -356,8 +360,16 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except UnphysicalDeformationError as exc:
+    except (UnphysicalDeformationError, AcceptabilityError) as exc:
+        # beta_tilde >= 1, or a level whose measure factor 1 - bt p0^2
+        # rounds to <= 0 (bt K past about 1e16)
         print(f"check failed: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:
+        # a state out of double range, e.g. 1/(bt wt) or p0 + 1 rounding
+        # to 0 at extreme omega_tilde
+        print(f"check failed: out of floating-point range: {exc}",
+              file=sys.stderr)
         return 1
 
 

@@ -136,19 +136,24 @@ def p0_allowed(params: DOParams, qn: QuantumNumber) -> float:
 
     When beta_tilde > 0 the equivalent closed form
     tau beta^{-1/2} sqrt(1 + (beta-1)/(1 + beta omega n)^2) is evaluated as
-    a consistency cross-check.
+    a consistency cross-check.  It cannot overflow, and it gives p0 when
+    beta_tilde K does (both forms tend to 1/beta_tilde as K grows).
     """
     bt = params.beta_tilde
     K = level_K(params, qn.n)
+    if bt == 0:
+        return qn.tau * math.sqrt(1.0 + K)
+    y = 1.0 + bt * params.omega_tilde * qn.n  # 1 + bt K = y^2
+    alt_sq = (1.0 + (bt - 1.0) / (y * y)) / bt
+    if not math.isfinite(bt * K):
+        return qn.tau * math.sqrt(alt_sq)
     p0 = qn.tau * math.sqrt((1.0 + K) / (1.0 + bt * K))
-    if bt > 0:
-        alt_sq = (1.0 + (bt - 1.0) / (1.0 + bt * params.omega_tilde * qn.n) ** 2) / bt
-        # the alternative form cancels two near-unit terms scaled by 1/bt,
-        # so its roundoff grows like eps/bt
-        if not math.isclose(p0 * p0, alt_sq, rel_tol=1e-12, abs_tol=1e-13 / bt):
-            raise AssertionError(
-                "closed forms for p0 disagree; numerical pathology"
-            )
+    # the alternative form cancels two near-unit terms scaled by 1/bt,
+    # so its roundoff grows like eps/bt
+    if not math.isclose(p0 * p0, alt_sq, rel_tol=1e-12, abs_tol=1e-13 / bt):
+        raise AssertionError(
+            "closed forms for p0 disagree; numerical pathology"
+        )
     return p0
 
 
@@ -181,7 +186,12 @@ def energy(params: DOParams, qn: QuantumNumber) -> float:
 def make_level(params: DOParams, qn: QuantumNumber) -> SpectrumLevel:
     K = level_K(params, qn.n)
     p0 = p0_allowed(params, qn)
-    e_n = e_formula(params, qn.n, p0)
+    # e_n = p0^2 - 1 at the fixed point; K (1 - bt p0^2) is inf * 0 when
+    # bt K overflows
+    if math.isfinite(params.beta_tilde * K):
+        e_n = e_formula(params, qn.n, p0)
+    else:
+        e_n = p0 * p0 - 1.0
     E = energy(params, qn) if params.has_dimensions else None
     return SpectrumLevel(
         n=qn.n, tau=qn.tau, K=K, p0_tilde=p0, e_n=e_n, E_over_mc2=p0, E=E

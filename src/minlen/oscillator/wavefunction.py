@@ -119,7 +119,6 @@ class EigenResult:
     raw: list  # per-refinement eigenvalue arrays
     npts_list: list
     orders: np.ndarray  # observed convergence order per eigenvalue
-    converged: bool
     log: list
 
 
@@ -167,22 +166,18 @@ def eigensolve_factorized(
     else:
         orders = np.full(k, np.nan)
     scale = max(np.max(np.abs(rich)), 1e-30)
-    if refinements >= 1:
-        delta = np.max(np.abs(raw[-1] - raw[-2])) / scale
-        converged = bool(delta < 10 * rtol)
-    else:
-        delta = math.nan
-        converged = True
     log = [
         {"npts": np_, "eigenvalues": [float(x) for x in ev]}
         for np_, ev in zip(npts_list, raw)
     ]
-    if not converged:
-        raise RuntimeError(
-            f"eigensolver failed to converge: last inter-grid change "
-            f"{delta:.3e} (log: {log})"
-        )
-    return EigenResult(rich, raw, npts_list, orders, converged, log)
+    if refinements >= 1:
+        delta = np.max(np.abs(raw[-1] - raw[-2])) / scale
+        if not delta < 10 * rtol:
+            raise RuntimeError(
+                f"eigensolver failed to converge: last inter-grid change "
+                f"{delta:.3e} (log: {log})"
+            )
+    return EigenResult(rich, raw, npts_list, orders, log)
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +318,10 @@ def _gauss(params: DOParams, level: SpectrumLevel, m: int):
     """
     bt, wt = params.beta_tilde, params.omega_tilde
     mu = 1.0 / (bt * wt) - 1.0 if bt > 0 else None
-    x = eigh_tridiagonal(np.zeros(m), _coefficients(mu, m - 1),
-                         eigvals_only=True)
+    a = _coefficients(mu, m - 1)
+    if not np.all(np.isfinite(a)):
+        raise FloatingPointError(f"no Gauss rule for the index {mu}")
+    x = eigh_tridiagonal(np.zeros(m), a, eigvals_only=True)
     # Christoffel weights, summed from the same recurrence
     christoffel = sum(g * g for g in _recurrence(x, np.ones(m), mu, m - 1))
     if bt == 0:
@@ -428,8 +425,10 @@ def _sampled(params: DOParams, level: SpectrumLevel, npts: int):
                           dq, c0, scale)
     wf.metadata["residual_coupled_1"] = scale * _l2norm(res1, dq)
     wf.metadata["residual_coupled_2"] = scale * _l2norm(res2, dq)
+    # an exact norm that under- or overflows (extreme wt) fails the check
     exact = _norm_integral(params, level)
-    wf.metadata["quadrature_error"] = abs(raw / exact - 1.0)
+    err = abs(raw / exact - 1.0) if 0 < exact < math.inf else math.inf
+    wf.metadata["quadrature_error"] = err if err < math.inf else math.inf
     return wf
 
 

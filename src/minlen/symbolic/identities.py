@@ -161,7 +161,7 @@ def _xx_residual(ring, X, P, w, g, mu, nu):
     """
     h = Poly.symbol(ring, "h")
     lhs = commutator(X[mu], X[nu]).scale(w)
-    rhs = ((P[mu] @ X[nu]) - (P[nu] @ X[mu])).scale(Coef(h * g))
+    rhs = ((P[mu] @ X[nu]) - (P[nu] @ X[mu])).scale(h * g)
     return lhs - rhs
 
 
@@ -319,8 +319,8 @@ def _variations(ring, X, spec: TransformationSpec, tamper=()):
         da_dot_p = da_dot_p + ring.momenta[nu] * g[nu] * Fraction(spec.da[nu])
     dX = []
     for mu in range(n):
-        c = Coef(Poly.const(ring, -Fraction(spec.da[mu])))
-        c = c - gfun * Coef(da_dot_p * ring.momenta[mu])
+        c = Poly.const(ring, -Fraction(spec.da[mu]))
+        c = c - gfun * (da_dot_p * ring.momenta[mu])
         dX.append(Op.mult(c))
     return dX, [Poly.zero(ring)] * n
 
@@ -345,7 +345,7 @@ def _first_order_residuals(ring, X, P, dX, dp) -> dict:
     # w and g are affine in s, so each varies by its value at ds minus at 0
     dw = ring.w_of(ds) - ring.w_of(zero)
     dg = ring.g_numerator(ds) - ring.g_numerator(zero)
-    hg = Coef(h * ring.g_numerator(ring.s))
+    hg = h * ring.g_numerator(ring.s)
     out = {}
     for mu in range(n):
         for nu in range(mu, n):

@@ -1,10 +1,10 @@
 """Normal-ordered linear differential operators in momentum representation.
 
 An operator is a finite sum of terms c(p) * d^a, with the coefficient (a
-Coef) written to the left of the derivative monomial d^a (a multi-index over
-the momentum components).  This normal form is unique up to the value
-equality of Coef, so operators are equal iff their terms are.  Composition
-moves derivatives past coefficients with the Leibniz rule.
+Poly, num * w^-k) written to the left of the derivative monomial d^a (a
+multi-index over the momentum components).  This normal form is unique up to
+the value equality of Poly, so operators are equal iff their terms are.
+Composition moves derivatives past coefficients with the Leibniz rule.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .poly import Coef, Poly, Ring
 
 
 class Op:
-    """Normal-ordered operator: map from derivative multi-index to Coef."""
+    """Normal-ordered operator: map from derivative multi-index to Poly."""
 
     __slots__ = ("ring", "terms")
 
@@ -35,11 +35,9 @@ class Op:
         return cls.mult(Poly.one(ring))
 
     @classmethod
-    def mult(cls, f):
-        """Multiplication operator by a Poly or Coef."""
-        c = Coef.of(f)
-        ring = c.ring
-        return cls(ring, {(0,) * ring.nmom: c})
+    def mult(cls, f: Poly):
+        """Multiplication operator by f."""
+        return cls(f.ring, {(0,) * f.ring.nmom: f})
 
     @classmethod
     def deriv(cls, ring, mu: int):
@@ -47,7 +45,7 @@ class Op:
         ring.momentum_index(mu)  # range check
         a = [0] * ring.nmom
         a[mu] = 1
-        return cls(ring, {tuple(a): Coef.one(ring)})
+        return cls(ring, {tuple(a): Poly.one(ring)})
 
     # ---- linear structure ---------------------------------------------
     def __add__(self, other):
@@ -68,7 +66,7 @@ class Op:
         return self + (-other)
 
     def scale(self, f) -> "Op":
-        """Left-multiply by a scalar function (Coef/Poly/number)."""
+        """Left-multiply by a scalar function (Poly or number)."""
         return Op(self.ring, {a: c * f for a, c in self.terms.items()})
 
     # ---- composition ---------------------------------------------------
@@ -108,10 +106,10 @@ class Op:
         return self.ring == other.ring and self.terms == other.terms
 
     # ---- action on functions --------------------------------------------
-    def apply(self, f) -> Coef:
-        """Apply the operator to a scalar function (Poly or Coef)."""
-        dk = _derivatives(Coef.of(f))
-        out = Coef.zero(self.ring)
+    def apply(self, f: Poly) -> Poly:
+        """Apply the operator to a scalar function."""
+        dk = _derivatives(f)
+        out = Poly.zero(self.ring)
         for a, c in self.terms.items():
             out = out + c * dk(a)
         return out
@@ -131,15 +129,16 @@ class Op:
         return " + ".join(parts)
 
 
-def _derivatives(c: Coef):
+def _derivatives(c: Poly):
     """Memoized mixed derivatives of c: dk(k) is d^k c for a multi-index k."""
-    cache = {(0,) * c.ring.nmom: c}
+    ring = c.ring
+    cache = {(0,) * ring.nmom: c}
 
     def dk(k):
         if k not in cache:
             j = next(i for i, ki in enumerate(k) if ki)
             prev = tuple(ki - (1 if i == j else 0) for i, ki in enumerate(k))
-            cache[k] = dk(prev).diff(j)
+            cache[k] = dk(prev).diff(ring.momentum_index(j))
         return cache[k]
 
     return dk
@@ -176,9 +175,8 @@ def deformed_position(ring: Ring, mu: int) -> Op:
 
     def add(a, poly):
         key = tuple(a)
-        c = Coef(poly)
         prev = terms.get(key)
-        terms[key] = c if prev is None else prev + c
+        terms[key] = poly if prev is None else prev + poly
 
     # (1 - beta s) x^mu  ->  -h g_mu w on d_mu
     a = [0] * nm
@@ -214,8 +212,8 @@ def lorentz_generator(ring: Ring, a: int, b: int) -> Op:
     w does not divide (a wrong X) keeps w^-1, a lhat-simplify residual."""
     terms = {}
     for k, c in _angular(deformed_position, ring, a, b).terms.items():
-        q = c.num.exact_div(ring.w)
-        terms[k] = Coef(c.num, c.wpow + 1) if q is None else Coef(q, c.wpow)
+        q = c.exact_div(ring.w)
+        terms[k] = Coef(c, 1) if q is None else q
     return Op(ring, terms)
 
 
@@ -230,6 +228,6 @@ def translation_generator(ring: Ring, a: int) -> Op:
     return Op.mult(Coef(pa, 1))
 
 
-def translation_g(ring: Ring) -> Coef:
+def translation_g(ring: Ring) -> Poly:
     """g(s) = w^-2 [2 beta - betap - (2 beta + betap) beta s]."""
     return Coef(ring.g_numerator(ring.s), 2)

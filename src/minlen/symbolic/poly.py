@@ -14,16 +14,18 @@ carries into the next field, it can only set that field's guard bit, and
 Poly.__mul__ raises OverflowError when it does.  Integer order of packed
 monomials is the lex order of their exponent tuples.
 
-A Poly holds integer numerators over one content denominator den > 0,
-kept reduced: gcd(den, *numerators) == 1, and den == 1 for the zero
-polynomial.  Each rational polynomial thus has one representation, and
-products, sums and derivatives run on ints.  Rationals enter through the
-public constructor and Poly.const only.
+A Poly is the localized element num * w^(-wpow), with wpow = 0 for a zero
+numerator and in a ring where w = 1; Coef(num, k) builds num * w^(-k).  The
+numerator holds integer coefficients over one content denominator den > 0,
+kept reduced: gcd(den, *numerators) == 1, and den == 1 for zero.  Each
+rational polynomial thus has one representation, and products, sums and
+derivatives run on ints.  Rationals enter through the public constructor
+and Poly.const only.
 
-A coefficient is a pair num * w^(-k), stored as built with no factor of w
-divided out, so there is no canonical form: a == b iff the numerator of
-a - b is the zero polynomial, which no power of w changes.  The Lorentz
-generator holds the one division by w (Poly.exact_div).
+An element is stored as built, with no factor of w divided out, so there
+is no canonical form: a == b iff the numerator of a - b is the zero
+polynomial, which no power of w changes, and Poly is unhashable.  The
+Lorentz generator holds the one division by w (Poly.exact_div).
 """
 
 from __future__ import annotations
@@ -63,8 +65,11 @@ class Ring:
         self.guard = sum(1 << (s + FIELD_BITS - 1) for s in self.shifts)
         self.subs = {}
         for name, val in (("beta", beta), ("betap", betap), ("gamma", gamma)):
-            if val is not None:
-                self.subs[name] = Fraction(val)
+            if val is None:
+                continue
+            if not isinstance(val, (int, Fraction)):
+                raise TypeError(f"{name} = {val!r} is not an int or Fraction")
+            self.subs[name] = Fraction(val)
         self.momenta = tuple(Poly.momentum(self, j) for j in range(self.nmom))
         self.s = self.metric_square(self.momenta)
         self.w = self.w_of(self.s)
@@ -139,27 +144,33 @@ class Ring:
         return f"Ring(metric={self.metric}, subs={self.subs})"
 
 
-def _poly(ring, terms, den=1):
+def _poly(ring, terms, den=1, wpow=0):
     """Trusted constructor for internal results: terms maps packed monomials
-    to nonzero ints over den > 0; the content they share is divided out."""
+    to nonzero ints over den > 0; the content they share is divided out.
+    wpow is dropped for a zero numerator and in a ring where w = 1."""
     if den != 1:
         g = gcd(den, *terms.values())
         if g != 1:
             den //= g
             terms = {e: c // g for e, c in terms.items()}
+    if wpow and (not terms or ring.w_is_one):
+        wpow = 0
     p = object.__new__(Poly)
     p.ring = ring
     p.terms = terms
     p.den = den
+    p.wpow = wpow
     return p
 
 
 class Poly:
-    """Multivariate polynomial with rational coefficients: `terms` maps each
-    packed monomial to a nonzero int numerator over the common positive
-    denominator `den`, with gcd(den, *terms.values()) == 1."""
+    """The localized element num * w^(-wpow): `terms` maps each packed
+    monomial of the numerator to a nonzero int over the common positive
+    denominator `den`, with gcd(den, *terms.values()) == 1.  Compare values
+    with ==, not by fields; unhashable, as a hash consistent with == would
+    need a canonical form."""
 
-    __slots__ = ("ring", "terms", "den")
+    __slots__ = ("ring", "terms", "den", "wpow")
 
     def __init__(self, ring: Ring, terms: dict):
         """terms maps packed monomials (Ring.pack) to ints or Fractions."""
@@ -176,7 +187,7 @@ class Poly:
             if c
         }
         p = _poly(ring, nums, den)
-        self.ring, self.terms, self.den = ring, p.terms, p.den
+        self.ring, self.terms, self.den, self.wpow = ring, p.terms, p.den, 0
 
     # ---- constructors -------------------------------------------------
     @classmethod
@@ -189,7 +200,7 @@ class Poly:
 
     @classmethod
     def const(cls, ring, c):
-        return cls(ring, {0: c if type(c) is int else Fraction(c)})
+        return cls(ring, {0: c})
 
     @classmethod
     def symbol(cls, ring, name):
@@ -201,7 +212,7 @@ class Poly:
         return cls.symbol(ring, ring.names[ring.momentum_index(mu)])
 
     def coefficients(self) -> dict:
-        """The polynomial as a map from exponent tuples to Fractions."""
+        """The numerator as a map from exponent tuples to Fractions."""
         unpack, den = self.ring.unpack, self.den
         return {unpack(e): Fraction(c, den) for e, c in self.terms.items()}
 
@@ -218,6 +229,13 @@ class Poly:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
+        k = self.wpow
+        if k != other.wpow:
+            # lift the operand with the lower power to the common w^-k
+            if k < other.wpow:
+                self, other = other, self
+                k = self.wpow
+            other = other * self.ring.w_power(k - other.wpow)
         a, b = self.terms, other.terms
         den = self.den
         if den == other.den:
@@ -236,13 +254,14 @@ class Poly:
                 out[e] = c
             else:
                 del out[e]
-        return _poly(self.ring, out, den)
+        return _poly(self.ring, out, den, k)
 
     __radd__ = __add__
 
     def __neg__(self):
         return _poly(
-            self.ring, {e: -c for e, c in self.terms.items()}, self.den
+            self.ring, {e: -c for e, c in self.terms.items()}, self.den,
+            self.wpow,
         )
 
     def __sub__(self, other):
@@ -270,13 +289,13 @@ class Poly:
             out = {e: c for e, c in out.items() if c}
         if out and reduce(or_, out) & ring.guard:
             raise OverflowError(f"a product has an exponent over {FIELD_MAX}")
-        return _poly(ring, out, self.den * other.den)
+        return _poly(ring, out, self.den * other.den, self.wpow + other.wpow)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
-            raise ValueError("negative powers live in Coef, not Poly")
+            raise ValueError("negative powers: build num * w^-k with Coef")
         out = Poly.one(self.ring)
         for _ in range(n):
             out = out * self
@@ -286,14 +305,14 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.den == other.den
-            and self.terms == other.terms
-        )
+        if self.ring != other.ring:
+            return False
+        if self.wpow != other.wpow:
+            # w^2 h w^-3 equals h w^-1, though no field matches
+            return (self - other).is_zero
+        return self.den == other.den and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items()), self.den))
+    __hash__ = None
 
     @property
     def is_zero(self):
@@ -304,14 +323,21 @@ class Poly:
 
     # ---- calculus and evaluation --------------------------------------
     def diff(self, sym_index: int) -> "Poly":
-        shift = self.ring.shifts[sym_index]
+        """d/d(symbol), with d(num w^-k) = dnum w^-k - k num dw w^-(k+1)."""
+        ring = self.ring
+        shift = ring.shifts[sym_index]
         unit = 1 << shift
         out = {}
         for e, c in self.terms.items():
             k = (e >> shift) & FIELD_MAX
             if k:
                 out[e - unit] = c * k
-        return _poly(self.ring, out, self.den)
+        k = self.wpow
+        d = _poly(ring, out, self.den, k)
+        if k:
+            dw = ring.w.diff(sym_index)
+            d = d - _poly(ring, self.terms, self.den, k + 1) * dw * k
+        return d
 
     def eval(self, values: dict):
         """Evaluate at exact values; `values` maps symbol name -> Fraction."""
@@ -322,15 +348,23 @@ class Poly:
                 if k:
                     term *= Fraction(values[self.ring.names[i]]) ** k
             total += term
-        return total
+        if not self.wpow:
+            return total
+        wval = self.ring.w.eval(values)
+        if wval == 0:
+            raise ZeroDivisionError("w vanishes at evaluation point")
+        return total / wval ** self.wpow
 
     # ---- division ------------------------------------------------------
     def exact_div(self, d: "Poly"):
-        """Return q with self == q * d, or None if d does not divide self.
+        """Return q with self == q * d, or None if d does not divide the
+        numerator; q keeps the power of w.  d must be a polynomial.
 
         Single-divisor multivariate division under the lex order; the
         remainder vanishes iff d divides self exactly.
         """
+        if d.wpow:
+            raise ValueError("the divisor must have no power of w")
         if d.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
         guard = self.ring.guard
@@ -358,7 +392,7 @@ class Poly:
                     rem[me] = nc
                 else:
                     rem.pop(me, None)
-        return Poly(self.ring, q)
+        return Coef(Poly(self.ring, q), self.wpow)
 
     # ---- display -------------------------------------------------------
     def __repr__(self):
@@ -375,115 +409,12 @@ class Poly:
                 elif k > 1:
                     factors.append(f"{self.ring.names[i]}^{k}")
             parts.append("*".join(factors))
-        return " + ".join(parts)
+        num = " + ".join(parts)
+        return f"({num}) * w^-{self.wpow}" if self.wpow else num
 
 
-class Coef:
-    """A localized coefficient num * w^(-wpow), kept as built (wpow 0 when
-    num = 0 or w = 1).  Compare values with ==, not by fields; unhashable,
-    as a hash consistent with == would need a canonical form."""
-
-    __slots__ = ("num", "wpow")
-
-    def __init__(self, num: Poly, wpow: int = 0):
-        if wpow < 0:
-            raise ValueError("wpow must be nonnegative")
-        if num.is_zero or num.ring.w_is_one:
-            wpow = 0
-        self.num = num
-        self.wpow = wpow
-
-    @property
-    def ring(self):
-        return self.num.ring
-
-    @classmethod
-    def zero(cls, ring):
-        return cls(Poly.zero(ring))
-
-    @classmethod
-    def one(cls, ring):
-        return cls(Poly.one(ring))
-
-    @classmethod
-    def of(cls, x):
-        if isinstance(x, Coef):
-            return x
-        if isinstance(x, Poly):
-            return cls(x)
-        raise TypeError(f"cannot coerce {type(x)} to Coef")
-
-    def _coerce(self, other):
-        if isinstance(other, Coef):
-            return other
-        if isinstance(other, Poly):
-            return Coef(other)
-        if isinstance(other, (int, Fraction)):
-            return Coef(Poly.const(self.ring, other))
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        k = max(self.wpow, other.wpow)
-        return Coef(self._lift(k) + other._lift(k), k)
-
-    def _lift(self, k):
-        """The numerator over the common denominator w^k, k >= wpow."""
-        if k == self.wpow:
-            return self.num
-        return self.num * self.ring.w_power(k - self.wpow)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Coef(-self.num, self.wpow)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Coef(self.num * other.num, self.wpow + other.wpow)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        diff = self.__sub__(other)
-        return diff if diff is NotImplemented else diff.is_zero
-
-    @property
-    def is_zero(self):
-        return self.num.is_zero
-
-    def diff(self, mu: int) -> "Coef":
-        """d/dp^mu, with the chain rule d(w^-k) = 2 k beta p_mu w^-(k+1)."""
-        ring = self.ring
-        si = ring.momentum_index(mu)
-        dnum = self.num.diff(si)
-        if self.wpow == 0:
-            return Coef(dnum)
-        g = ring.metric[mu]
-        p_lower = ring.momenta[mu] * g  # p_mu = g_mu p^mu
-        extra = self.num * ring.param("beta") * p_lower * (2 * self.wpow)
-        return Coef(dnum * ring.w + extra, self.wpow + 1)
-
-    def eval(self, values: dict):
-        wval = self.ring.w.eval(values)
-        if wval == 0 and self.wpow:
-            raise ZeroDivisionError("w vanishes at evaluation point")
-        return self.num.eval(values) / wval ** self.wpow
-
-    def __repr__(self):
-        if self.wpow == 0:
-            return repr(self.num)
-        return f"({self.num!r}) * w^-{self.wpow}"
+def Coef(num: Poly, wpow: int = 0) -> Poly:
+    """num * w^(-wpow), the builder of localized values."""
+    if wpow < 0:
+        raise ValueError("wpow must be nonnegative")
+    return _poly(num.ring, num.terms, num.den, num.wpow + wpow)

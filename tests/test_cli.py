@@ -338,3 +338,77 @@ def test_config_diagnostic_matches_flag(tmp_path):
 ], ids=["tau-1.5", "omega-true", "beta-true", "switch-maybe", "key-n"])
 def test_config_value_is_usage_error(tmp_path, command, text):
     assert config_run(tmp_path, command, text) == 2
+
+
+# ---- extreme but finite omega_tilde: a verdict, never a traceback ----------
+
+
+def run_extreme(tmp_path, args):
+    """Exit code, stderr lines and report.json (None if none was written)."""
+    out = str(tmp_path / "out")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(args + ["--out-dir", out])
+    path = os.path.join(out, "report.json")
+    report = json.loads(read(path)) if os.path.exists(path) else None
+    return code, err.getvalue().splitlines(), report
+
+
+def test_spectrum_at_huge_omega(tmp_path):
+    # bt K overflows: p0^2 and e_n + 1 take their limit 1/bt = 2
+    code, err, report = run_extreme(tmp_path, [
+        "spectrum", "--beta-tilde", "0.5", "--omega-tilde", "1e300",
+        "--n-max", "3", "--format", "csv",
+    ])
+    # the saturated |p0| no longer increases in double precision
+    assert code == 1 and err == []
+    assert report["unphysical_decrease"] and not report["passed"]
+    lines = read(str(tmp_path / "out" / "spectrum.csv")).decode().splitlines()
+    rows = [dict(zip(lines[0].split(","), map(float, ln.split(","))))
+            for ln in lines[1:]]
+    assert len(rows) == 7
+    for row in rows:
+        if row["n"] > 0:
+            assert abs(abs(row["p0_tilde"]) - 2 ** 0.5) < 1e-15
+            assert abs(row["e_n"] - 1.0) < 1e-15
+
+
+def test_wavefunction_at_huge_omega(tmp_path):
+    code, err, report = run_extreme(tmp_path, [
+        "wavefunction", "--beta-tilde", "0.5", "--omega-tilde", "1e300",
+        "--n", "1",
+    ])
+    # 1 - bt p0^2 rounds to <= 0: a one-line check failure
+    assert code == 1 and report is None
+    assert len(err) == 1 and err[0].startswith("check failed:")
+
+
+def test_wavefunction_at_tiny_omega_fails_quadrature(tmp_path):
+    # the exact norm underflows to 0: quadrature_error is infinite (null)
+    code, err, report = run_extreme(tmp_path, [
+        "wavefunction", "--beta-tilde", "0.5", "--omega-tilde", "1e-320",
+        "--n", "1",
+    ])
+    assert code == 1
+    assert report["quadrature_error"] is None and not report["passed"]
+
+
+def test_uncertainty_at_huge_omega(tmp_path):
+    code, err, report = run_extreme(tmp_path, [
+        "uncertainty", "--beta-tilde", "0.5", "--omega-tilde", "1e200",
+        "--n-max", "2",
+    ])
+    assert code == 1 and report is None
+    assert len(err) == 1 and err[0].startswith("check failed:")
+
+
+def test_limits_at_huge_omega(tmp_path):
+    code, err, report = run_extreme(tmp_path, [
+        "limits", "--beta-values", "0.5,0.05", "--omega-tilde", "1e300",
+        "--n-max", "3",
+    ])
+    assert code == 0 and err == []
+    devs = [row["max_abs_deviation"] for row in report["rows"]]
+    # p0 saturates near 1/sqrt(bt) while the undeformed sqrt(1 + 2 wt n)
+    # reaches sqrt(6e300)
+    assert all(abs(d / 6e300 ** 0.5 - 1) < 1e-12 for d in devs)
