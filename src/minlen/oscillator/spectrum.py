@@ -217,7 +217,10 @@ def spectrum_table(params: DOParams, n_max: int) -> SpectrumTable:
 
     Ordering: tau = +1 levels n = 0..n_max, then tau = -1 levels n =
     1..n_max.  In diagnostic mode (beta_tilde >= 1) the unphysical-decrease
-    flag records that |E| is not strictly increasing in n.
+    flag records that |E| is not strictly increasing in n.  Below 1, |E|
+    rises strictly in exact arithmetic, so only a strict decrease is flagged:
+    neighbours that round to the same double near 1/sqrt(beta_tilde) are
+    saturation, not a decrease.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -226,5 +229,9 @@ def spectrum_table(params: DOParams, n_max: int) -> SpectrumTable:
         make_level(params, QuantumNumber(n, -1)) for n in range(1, n_max + 1)
     ]
     plus = [abs(l.p0_tilde) for l in levels if l.tau == 1]
-    increasing = all(b > a for a, b in zip(plus, plus[1:]))
-    return SpectrumTable(params, levels, unphysical_decrease=not increasing)
+    steps = list(zip(plus, plus[1:]))
+    if params.beta_tilde < 1:
+        decrease = any(b < a for a, b in steps)
+    else:
+        decrease = not all(b > a for a, b in steps)
+    return SpectrumTable(params, levels, unphysical_decrease=decrease)

@@ -393,10 +393,7 @@ def verify_transformations(
             for a, b in combinations(range(n), 2)
         ] + [TransformationSpec.translation(st, a) for a in range(n)]
     X, P = _position_momentum(ring)
-    Lpairs = {
-        (a, b): lorentz_generator(ring, a, b)
-        for a, b in combinations(range(n), 2)
-    }
+    L = {}  # L_ab, built the first time a spec needs it
     Phat = [translation_generator(ring, a) for a in range(n)]
     rep = VerificationReport("transformations")
 
@@ -412,9 +409,12 @@ def verify_transformations(
             for mu in range(n):
                 for ops, dops, sym in ((X, dX, "X"), (P, dP, "P")):
                     acc = Op.zero(ring)
-                    for (a, b), Lab in Lpairs.items():
+                    for a, b in combinations(range(n), 2):
                         c = Fraction(g[a] * g[b] * spec.domega[a][b])
                         if c:
+                            Lab = L.get((a, b))
+                            if Lab is None:
+                                Lab = L[a, b] = lorentz_generator(ring, a, b)
                             acc = acc + commutator(Lab, ops[mu]).scale(2 * c)
                     rep.record(
                         f"{tag}-gen-{sym}{mu}",

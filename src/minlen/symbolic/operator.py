@@ -4,7 +4,9 @@ An operator is a finite sum of terms c(p) * d^a, with the coefficient (a
 Poly, num * w^-k) written to the left of the derivative monomial d^a (a
 multi-index over the momentum components).  This normal form is unique up to
 the value equality of Poly, so operators are equal iff their terms are.
-Composition moves derivatives past coefficients with the Leibniz rule.
+Composition moves derivatives past coefficients with the Leibniz rule.  A
+commutator leaves out the order-zero Leibniz terms c_a c_b d^(a+b) of both
+products: coefficients commute, so those terms cancel.
 """
 
 from __future__ import annotations
@@ -70,14 +72,19 @@ class Op:
         return Op(self.ring, {a: c * f for a, c in self.terms.items()})
 
     # ---- composition ---------------------------------------------------
-    def __matmul__(self, other: "Op") -> "Op":
+    def __matmul__(self, other: "Op", *, _skip0=False) -> "Op":
+        """self @ other; with _skip0 (for commutator) the k = 0 Leibniz
+        terms are left out."""
         if self.ring != other.ring:
             raise ValueError("operators over different rings")
         out = {}
         for b, cb in other.terms.items():
             dk = _derivatives(cb)
             for a, ca in self.terms.items():
-                for k in product(*(range(ai + 1) for ai in a)):
+                ks = product(*(range(ai + 1) for ai in a))
+                if _skip0:
+                    next(ks)  # k = 0 comes first
+                for k in ks:
                     mult = 1
                     for ai, ki in zip(a, k):
                         mult *= comb(ai, ki)
@@ -145,7 +152,8 @@ def _derivatives(c: Poly):
 
 
 def commutator(a: Op, b: Op) -> Op:
-    return (a @ b) - (b @ a)
+    """a @ b - b @ a, without the order-zero terms that cancel."""
+    return a.__matmul__(b, _skip0=True) - b.__matmul__(a, _skip0=True)
 
 
 # ---- builders of the physical operators -------------------------------

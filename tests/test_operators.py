@@ -26,17 +26,19 @@ def mink_ring(D=2, **subs):
 
 
 @st.composite
-def small_ops(draw, D=1, max_terms=3):
-    """Random operators with polynomial coefficients and low derivative
-    orders; enough to exercise the Leibniz bookkeeping."""
+def small_ops(draw, D=1, max_terms=3, max_wpow=0):
+    """Random operators with low derivative orders and coefficients
+    monomial * w^-k, k <= max_wpow; enough to exercise the Leibniz
+    bookkeeping."""
     ring = mink_ring(D)
     terms = {}
     for _ in range(draw(st.integers(0, max_terms))):
         a = tuple(draw(st.integers(0, 2)) for _ in range(ring.nmom))
         e = tuple(draw(st.integers(0, 2)) for _ in range(ring.nsym))
         c = draw(st.fractions(min_value=-5, max_value=5, max_denominator=6))
+        k = draw(st.integers(0, max_wpow)) if max_wpow else 0
         poly = Poly(ring, {ring.pack(e): c})
-        terms[a] = terms.get(a, Poly.zero(ring)) + Coef(poly)
+        terms[a] = terms.get(a, Poly.zero(ring)) + Coef(poly, k)
     return Op(ring, terms)
 
 
@@ -105,6 +107,19 @@ def test_jacobi_identity(a, b, c):
 @settings(max_examples=20, deadline=None)
 def test_commutator_antisymmetry(a, b):
     assert (commutator(a, b) + commutator(b, a)).is_zero
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_commutator_matches_both_full_products(data):
+    """The commutator leaves out the order-zero Leibniz terms; the
+    difference of the two full products must agree with it."""
+    D = data.draw(st.integers(1, 2))
+    a = data.draw(small_ops(D, max_wpow=2))
+    b = data.draw(small_ops(D, max_wpow=2))
+    ab = commutator(a, b)
+    assert ab == (a @ b) - (b @ a)
+    assert ab == -commutator(b, a)
 
 
 def test_undeformed_position_momentum_commutator():

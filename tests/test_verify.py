@@ -1,7 +1,9 @@
 """Identity-verification suites: passing runs, mutation runs, reporting."""
 
+import cProfile
 import json
 import os
+import pstats
 from fractions import Fraction
 from itertools import combinations
 
@@ -9,7 +11,7 @@ import pytest
 
 from minlen.core import Spacetime
 from minlen.serialize import dumps_json
-from minlen.symbolic import operator
+from minlen.symbolic import identities, operator
 from minlen.symbolic.poly import Poly, Ring
 from minlen.symbolic.identities import (
     SymbolicParams,
@@ -172,6 +174,51 @@ def test_exact_div_only_for_lorentz_generators(monkeypatch):
     monkeypatch.setattr(Poly, "exact_div", counted)
     assert verify_transformations(st).passed
     assert 0 < len(calls) <= bound
+
+
+def test_lorentz_generators_built_on_demand(monkeypatch):
+    arena = Spacetime(3)
+
+    def outcome(specs):
+        """Generators built, and per spec index the (check, verdict,
+        residual terms) with the spec tag left out of each check id."""
+        built = []
+
+        def counted(ring, a, b):
+            built.append((a, b))
+            return operator.lorentz_generator(ring, a, b)
+
+        monkeypatch.setattr(identities, "lorentz_generator", counted)
+        rep = verify_transformations(arena, specs=specs)
+        monkeypatch.undo()
+        checks = {}
+        for c in rep.checks:
+            _, si, rest = c.identity_id.split("-", 2)
+            checks.setdefault(int(si), []).append(
+                (rest, c.passed, c.residual_term_count)
+            )
+        return built, checks
+
+    # the default specs, all rotations first, build what the eager build did
+    built, default = outcome(None)
+    pairs = list(combinations(range(4), 2))
+    assert built == pairs
+    built, checks = outcome([TransformationSpec.rotation(arena, 1, 2)])
+    assert built == [(1, 2)]
+    assert checks == {0: default[pairs.index((1, 2))]}
+    built, checks = outcome([TransformationSpec.translation(arena, 0)])
+    assert built == []
+    assert checks == {0: default[len(pairs)]}
+
+
+def test_transformations_poly_products_bounded():
+    """Work-count guard: Poly products in one default D = 2 run, counted
+    with cProfile.  The commutator's order-zero Leibniz terms cost 2,777."""
+    prof = cProfile.Profile()
+    assert prof.runcall(verify_transformations, Spacetime(2)).passed
+    code = Poly.__mul__.__code__
+    key = (code.co_filename, code.co_firstlineno, code.co_name)
+    assert pstats.Stats(prof).stats[key][1] <= 1673
 
 
 def test_wrong_position_operator_leaves_lhat_residual(monkeypatch):
