@@ -229,7 +229,7 @@ def spectrum_table(params: DOParams, n_max: int) -> SpectrumTable:
         make_level(params, QuantumNumber(n, -1)) for n in range(1, n_max + 1)
     ]
     plus = [abs(l.p0_tilde) for l in levels if l.tau == 1]
-    steps = list(zip(plus, plus[1:]))
+    steps = zip(plus, plus[1:])
     if params.beta_tilde < 1:
         decrease = any(b < a for a, b in steps)
     else:

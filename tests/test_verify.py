@@ -213,7 +213,8 @@ def test_lorentz_generators_built_on_demand(monkeypatch):
 
 def test_transformations_poly_products_bounded():
     """Work-count guard: Poly products in one default D = 2 run, counted
-    with cProfile.  The commutator's order-zero Leibniz terms cost 2,777."""
+    with cProfile.  With the commutator's order-zero Leibniz terms the run
+    makes 2,777."""
     prof = cProfile.Profile()
     assert prof.runcall(verify_transformations, Spacetime(2)).passed
     code = Poly.__mul__.__code__
