@@ -367,7 +367,6 @@ class WavefunctionGrid:
     psi2: np.ndarray
     f: np.ndarray
     dq: float
-    c0: float
     amplitude: float = 1.0
     metadata: dict = field(default_factory=dict)
 
@@ -414,7 +413,7 @@ def _sampled(params: DOParams, level: SpectrumLevel, npts: int):
     if params.beta_tilde >= 1:
         raise DiagnosticModeError()
     p0, wt = level.p0_tilde, params.omega_tilde
-    q, p, f, dq, c0 = flat_grid(params, p0, npts, level.n)
+    q, p, f, dq, _ = flat_grid(params, p0, npts, level.n)
     psi1, psi2, d1, d2 = _spinor(params, level, p)
     raw = float(np.sum(psi1**2 + psi2**2) * dq)
     # a state that vanishes at every node stays unnormalized
@@ -422,7 +421,7 @@ def _sampled(params: DOParams, level: SpectrumLevel, npts: int):
     res2 = p * psi1 + wt * d1 - (p0 + 1.0) * psi2
     res1 = p * psi2 - wt * d2 - (p0 - 1.0) * psi1
     wf = WavefunctionGrid(params, level, q, p, scale * psi1, scale * psi2, f,
-                          dq, c0, scale)
+                          dq, scale)
     wf.metadata["residual_coupled_1"] = scale * _l2norm(res1, dq)
     wf.metadata["residual_coupled_2"] = scale * _l2norm(res2, dq)
     # an exact norm that under- or overflows (extreme wt) fails the check

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 from ..core import Spacetime
 from .poly import Coef, Poly, Ring
@@ -88,7 +88,8 @@ class TransformationSpec:
     """First-order Lorentz rotation/boost or translation parameters.
 
     domega is the covariant antisymmetric matrix delta_omega_{mu nu}; da is
-    the contravariant shift delta_a^mu.  Entries are exact rationals.
+    the contravariant shift delta_a^mu.  Entries are ints or Fractions; a
+    float is a TypeError, as Fraction(0.1) is not 1/10.
     """
 
     kind: str
@@ -112,19 +113,21 @@ class TransformationSpec:
         else:
             if self.da is None:
                 raise ValueError("translation spec needs da")
+        for x in chain(*self.domega) if self.kind == "lorentz" else self.da:
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"spec entry {x!r} is not an int or Fraction")
 
     @classmethod
     def rotation(cls, st: Spacetime, a: int, b: int, value=1):
         n = st.D + 1
         m = [[Fraction(0)] * n for _ in range(n)]
-        m[a][b] = Fraction(value)
-        m[b][a] = -Fraction(value)
+        m[a][b], m[b][a] = value, -value
         return cls("lorentz", domega=tuple(tuple(r) for r in m))
 
     @classmethod
     def translation(cls, st: Spacetime, a: int, value=1):
         da = [Fraction(0)] * (st.D + 1)
-        da[a] = Fraction(value)
+        da[a] = value
         return cls("translation", da=tuple(da))
 
 

@@ -11,7 +11,6 @@ products: coefficients commute, so those terms cancel.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from math import comb
 
@@ -203,7 +202,8 @@ def deformed_position(ring: Ring, mu: int) -> Op:
 
 def lowered(builder, ring: Ring, mu: int) -> Op:
     """Lower the index of a diagonal-metric vector operator."""
-    return builder(ring, mu).scale(Fraction(ring.metric[mu]))
+    op = builder(ring, mu)
+    return op if ring.metric[mu] == 1 else -op
 
 
 def _angular(position, ring: Ring, a: int, b: int) -> Op:
@@ -216,13 +216,13 @@ def _angular(position, ring: Ring, a: int, b: int) -> Op:
 
 
 def lorentz_generator(ring: Ring, a: int, b: int) -> Op:
-    """L_{ab} = w^-1 (X_a P_b - X_b P_a), divided out exactly; a coefficient
-    w does not divide (a wrong X) keeps w^-1, a lhat-simplify residual."""
-    terms = {}
-    for k, c in _angular(deformed_position, ring, a, b).terms.items():
-        q = c.exact_div(ring.w)
-        terms[k] = Coef(c, 1) if q is None else q
-    return Op(ring, terms)
+    """L_{ab} = w^-1 A with A = X_a P_b - X_b P_a, built as u + w^-1 (A - w u)
+    for u = x_a p_b - x_b p_a: the same value, with no w^-1 left where
+    A = w u, as the deformed X gives; a wrong X keeps w^-1 terms, a
+    lhat-simplify residual."""
+    u = undeformed_lorentz_generator(ring, a, b)
+    rest = _angular(deformed_position, ring, a, b) - u.scale(ring.w)
+    return u + Op(ring, {k: Coef(c, 1) for k, c in rest.terms.items()})
 
 
 def undeformed_lorentz_generator(ring: Ring, a: int, b: int) -> Op:

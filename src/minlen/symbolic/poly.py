@@ -24,8 +24,8 @@ and Poly.const only.
 
 An element is stored as built, with no factor of w divided out, so there
 is no canonical form: a == b iff the numerator of a - b is the zero
-polynomial, which no power of w changes, and Poly is unhashable.  The
-Lorentz generator holds the one division by w (Poly.exact_div).
+polynomial, which no power of w changes, and Poly is unhashable.  Nothing
+in the kernel divides one polynomial by another.
 """
 
 from __future__ import annotations
@@ -354,45 +354,6 @@ class Poly:
         if wval == 0:
             raise ZeroDivisionError("w vanishes at evaluation point")
         return total / wval ** self.wpow
-
-    # ---- division ------------------------------------------------------
-    def exact_div(self, d: "Poly"):
-        """Return q with self == q * d, or None if d does not divide the
-        numerator; q keeps the power of w.  d must be a polynomial.
-
-        Single-divisor multivariate division under the lex order; the
-        remainder vanishes iff d divides self exactly.
-        """
-        if d.wpow:
-            raise ValueError("the divisor must have no power of w")
-        if d.is_zero:
-            raise ZeroDivisionError("division by zero polynomial")
-        guard = self.ring.guard
-        rem = {e: Fraction(c, self.den) for e, c in self.terms.items()}
-        q = {}
-        dl = max(d.terms)
-        dc = Fraction(d.terms[dl], d.den)
-        rest = [(e, Fraction(c, d.den)) for e, c in d.terms.items() if e != dl]
-        while rem:
-            m = max(rem)
-            c = rem.pop(m)
-            # m | guard lends each field of m 2^(FIELD_BITS-1), so no borrow
-            # crosses a field; a cleared guard bit marks a field below dl's
-            if ((m | guard) - dl) & guard != guard:
-                return None
-            e = m - dl
-            q[e] = coef = c / dc
-            for de, dcoef in rest:
-                me = e + de
-                if me & guard:
-                    raise OverflowError(
-                        f"a quotient term has an exponent over {FIELD_MAX}")
-                nc = rem.get(me, 0) - coef * dcoef
-                if nc:
-                    rem[me] = nc
-                else:
-                    rem.pop(me, None)
-        return Coef(Poly(self.ring, q), self.wpow)
 
     # ---- display -------------------------------------------------------
     def __repr__(self):

@@ -153,7 +153,7 @@ def state_moments(grid: WavefunctionGrid, params: DOParams) -> StateMoments:
     exact; for lam = 1/(bt wt) <= 1/2 both diverge, and dP, dX are inf.
     """
     norm = grid.norm_squared()
-    if abs(norm - 1.0) > 1e-8:
+    if not abs(norm - 1.0) <= 1e-8:  # a NaN norm fails too
         raise ValueError(f"grid not normalized (norm^2 = {norm})")
     level = grid.level
     meansq_p = meansq_x = math.inf

@@ -93,28 +93,6 @@ def test_diff_is_a_derivation(a, b):
 
 
 @given(polys())
-@settings(max_examples=60)
-def test_exact_div_roundtrip(a):
-    ring = a.ring
-    prod = a * ring.w
-    q = prod.exact_div(ring.w)
-    assert q == a
-
-
-def test_exact_div_detects_nondivisibility():
-    ring = mink_ring(1)
-    p0 = Poly.momentum(ring, 0)
-    assert (p0 + 1).exact_div(ring.w) is None
-    assert (ring.w + 1).exact_div(ring.w) is None
-
-
-def test_exact_div_by_zero():
-    ring = mink_ring(1)
-    with pytest.raises(ZeroDivisionError):
-        Poly.one(ring).exact_div(Poly.zero(ring))
-
-
-@given(polys())
 @settings(max_examples=40)
 def test_eval_matches_structure(a):
     vals = {n: Fraction(k + 2, 3) for k, n in enumerate(a.ring.names)}
@@ -135,23 +113,20 @@ def assert_reduced(a):
     assert gcd(a.den, *a.terms.values()) == 1
 
 
-@given(polys(), polys(), st.integers(1, 12))
+@given(polys(), polys())
 @settings(max_examples=60)
-def test_coefficients_keep_reduced_denominator(a, b, k):
+def test_coefficients_keep_reduced_denominator(a, b):
     ring = a.ring
     i = ring.momentum_index(0)
-    results = [a + b, a - b, a * b, a.diff(i), (a * ring.w).exact_div(ring.w)]
-    results.append(a.exact_div(Poly.const(ring, k)))
-    if b:
-        results.append((a * b).exact_div(b))
-    for r in results:
+    for r in (a + b, a - b, a * b, a.diff(i)):
         assert_reduced(r)
 
 
-def test_exact_div_fractional_quotient():
+def test_fractional_poly_keeps_reduced_denominator():
     ring = mink_ring(1)
     p0 = Poly.momentum(ring, 0)
-    q = (2 * (3 * p0 + 1)).exact_div(Poly.const(ring, 4))
+    (e,) = p0.terms  # the packed monomial of p0
+    q = Poly(ring, {e: Fraction(3, 2), 0: Fraction(1, 2)})
     assert q == p0 * Fraction(3, 2) + Fraction(1, 2)
     assert_reduced(q)
     assert q.den == 2
@@ -275,11 +250,6 @@ def test_power_past_field_width_raises():
             x ** (FIELD_MAX + 1)
     with pytest.raises(OverflowError):
         ring.pack((FIELD_MAX + 1,) + (0,) * (ring.nsym - 1))
-    # dividing by w, whose lex-leading term is beta p0^2, reaches p2^(127+2)
-    # through its beta p2^2 term
-    beta, p0, p2 = (Poly.symbol(ring, n) for n in ("beta", "p0", "p2"))
-    with pytest.raises(OverflowError):
-        (beta * p0 * p0 * p2**FIELD_MAX).exact_div(ring.w)
 
 
 def test_constructor_checks_monomials_and_coefficients():

@@ -206,6 +206,15 @@ def test_state_moments_requires_normalization():
     g.psi1 = 2.0 * g.psi1
     with pytest.raises(ValueError):
         state_moments(g, p)
+    # a NaN norm compares False against any tolerance; it must fail too
+    p = DOParams(0.5, 1.0)
+    g = wavefunction(p, QuantumNumber(1, 1), GridSpec(401))
+    g.psi1 = np.full_like(g.psi1, np.nan)
+    g.psi2 = np.full_like(g.psi2, np.nan)
+    with pytest.raises(ValueError):
+        state_moments(g, p)
+    with pytest.raises(ValueError):
+        uncertainty_report(g, p)
 
 
 @pytest.mark.parametrize("n", [0, 1, 3])

@@ -125,9 +125,22 @@ def test_transformation_spec_validation():
         TransformationSpec("lorentz", domega=((0, 1), (1, 0)))
     with pytest.raises(ValueError):
         TransformationSpec("squeeze", domega=((0,),))
+    # a float entry is refused at every entry point: Fraction(0.1) would
+    # store 3602879701896397/36028797018963968
+    with pytest.raises(TypeError, match="0.1"):
+        TransformationSpec.rotation(arena, 0, 1, 0.1)
+    with pytest.raises(TypeError, match="0.1"):
+        TransformationSpec.translation(arena, 0, 0.1)
+    with pytest.raises(TypeError, match="0.5"):
+        TransformationSpec("lorentz", domega=((0, 0.5), (-0.5, 0)))
+    with pytest.raises(TypeError, match="0.5"):
+        TransformationSpec("translation", da=(Fraction(1), 0.5))
     # well-formed specs round-trip through the constructors
     TransformationSpec.rotation(arena, 0, 1)
     TransformationSpec.translation(arena, 1)
+    TransformationSpec.rotation(arena, 0, 1, Fraction(1, 10))
+    TransformationSpec("lorentz", domega=((0, 1), (-1, 0)))
+    TransformationSpec("translation", da=(Fraction(1, 2), 0))
 
 
 def test_transformation_spec_size_must_be_d_plus_one():
@@ -157,23 +170,16 @@ def test_unknown_tamper_is_rejected(suite, tamper):
         suite(Spacetime(2), tamper=(tamper,))
 
 
-def test_exact_div_only_for_lorentz_generators(monkeypatch):
-    st = Spacetime(2)
-    ring = Ring(st.metric)
-    bound = sum(
-        operator.lorentz_generator(ring, a, b).term_count
-        for a, b in combinations(range(ring.nmom), 2)
-    )
-    divide = Poly.exact_div
-    calls = []
-
-    def counted(self, d):
-        calls.append(d)
-        return divide(self, d)
-
-    monkeypatch.setattr(Poly, "exact_div", counted)
-    assert verify_transformations(st).passed
-    assert 0 < len(calls) <= bound
+@pytest.mark.parametrize("D", [1, 2, 3])
+@pytest.mark.parametrize("beta", [None, Fraction(1, 7), 0])
+def test_lorentz_generators_carry_no_power_of_w(D, beta):
+    # L-hat is x_a p_b - x_b p_a exactly; kept as num * w^-1, every product
+    # with it would drag the w^-1 along
+    ring = Ring(Spacetime(D).metric, beta=beta)
+    for a, b in combinations(range(ring.nmom), 2):
+        L = operator.lorentz_generator(ring, a, b)
+        assert L.terms
+        assert all(c.wpow == 0 for c in L.terms.values())
 
 
 def test_lorentz_generators_built_on_demand(monkeypatch):
@@ -223,8 +229,8 @@ def test_transformations_poly_products_bounded():
 
 
 def test_wrong_position_operator_leaves_lhat_residual(monkeypatch):
-    # w then does not divide the bracket of L-hat; that is a failed check,
-    # not an exception
+    # A - w u then keeps w^-1 terms in L-hat; that is a failed check, not
+    # an exception
     monkeypatch.setattr(
         operator, "deformed_position", operator.undeformed_position
     )
