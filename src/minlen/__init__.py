@@ -6,7 +6,6 @@ associated uncertainty bounds.
 
 from .core import (
     DeformationParams,
-    MomentumVector,
     Spacetime,
     minkowski_square,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "GridSpec",
     "IdentityCheck",
     "MomentSet",
-    "MomentumVector",
     "QuantumNumber",
     "Spacetime",
     "SpectrumLevel",

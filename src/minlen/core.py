@@ -28,13 +28,11 @@ class Spacetime:
         return (1,) + (-1,) * self.D
 
     def lower(self, v: Sequence) -> tuple:
-        """Lower an index componentwise (involution with raise_)."""
+        """Lower an index componentwise.  The metric is its own inverse, so
+        this is an involution and also raises an index."""
         g = self.metric
         self._check_dim(v)
         return tuple(gi * vi for gi, vi in zip(g, v))
-
-    # the metric is its own inverse, so raising is the same map
-    raise_ = lower
 
     def _check_dim(self, v: Sequence):
         if len(v) != self.D + 1:
@@ -43,29 +41,12 @@ class Spacetime:
             )
 
 
-@dataclass(frozen=True)
-class MomentumVector:
-    """Contravariant momentum components (p^0, p^1, ..., p^D)."""
-
-    components: tuple
-
-    @classmethod
-    def of(cls, seq: Sequence) -> "MomentumVector":
-        return cls(tuple(seq))
-
-    def __len__(self):
-        return len(self.components)
-
-    def __getitem__(self, i):
-        return self.components[i]
-
-
 def minkowski_square(p, st: Spacetime):
     """p_nu p^nu = (p^0)^2 - sum_i (p^i)^2.
 
     Exact when fed exact (int/Fraction) components.
     """
-    comps = p.components if isinstance(p, MomentumVector) else tuple(p)
+    comps = tuple(p)
     st._check_dim(comps)
     return sum(g * c * c for g, c in zip(st.metric, comps))
 
@@ -84,16 +65,14 @@ class DeformationParams:
     gamma: object = 0
 
     def __post_init__(self):
-        if self.beta < 0 or self.beta_prime < 0:
+        # written so that NaN fails too
+        if not (self.beta >= 0 and self.beta_prime >= 0):
             raise ValueError("beta and beta_prime must be nonnegative")
-
-    def alpha(self, st: Spacetime):
-        """Exponent of the scalar-product weight [1-(b+b')p.p]^(-alpha)."""
-        return weight_alpha(self, st)
 
 
 def weight_alpha(params: DeformationParams, st: Spacetime):
-    """alpha = [2(beta+beta')]^-1 [2 beta + beta'(D+2) - 2 gamma].
+    """Exponent alpha of the scalar-product weight [1-(b+b')p.p]^(-alpha):
+    alpha = [2(beta+beta')]^-1 [2 beta + beta'(D+2) - 2 gamma].
 
     Exact for Fraction inputs.  Undefined when beta = beta' = 0.
     """
@@ -103,7 +82,7 @@ def weight_alpha(params: DeformationParams, st: Spacetime):
         raise ValueError("weight exponent undefined for beta = beta' = 0")
     num = 2 * b + bp * (st.D + 2) - 2 * g
     if isinstance(denom, (int, Fraction)) and isinstance(num, (int, Fraction)):
-        return Fraction(num, denom) if isinstance(denom, int) else num / denom
+        return Fraction(num, denom)
     return num / denom
 
 

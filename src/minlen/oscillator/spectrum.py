@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional
 
 
@@ -97,6 +98,8 @@ class QuantumNumber:
     tau: int
 
     def __post_init__(self):
+        if not all(isinstance(x, Integral) for x in (self.n, self.tau)):
+            raise TypeError("n and tau must be integers")
         if self.tau not in (1, -1):
             raise ValueError("tau must be +1 or -1")
         if self.n < 0:

@@ -16,7 +16,8 @@ of y = p/sqrt(wt).  `wavefunction` samples them on a uniform q grid.  The
 discretized B+ B- = -wt^2 d^2/dq^2 + p(q)^2 - wt f(p(q)) of
 `eigensolve_factorized` and the stencils of `fd_derivative` and
 `ladder_apply` do not produce the states: they are the independent
-finite-difference oracle the tests compare against.
+finite-difference oracle, on one fixed ladder of three grids, that the
+tests and the benchmark compare against.
 """
 
 from __future__ import annotations
@@ -107,19 +108,15 @@ def lowest_eigenvalues(
     """k lowest eigenvalues of B+B- (or of the partner B-B+)."""
     q, p, f, dq, _ = flat_grid(params, p0_tilde, npts, k + 4)
     diag, off = _ladder_tridiagonal(params.omega_tilde, p, f, dq, partner)
-    vals = eigh_tridiagonal(
+    return eigh_tridiagonal(
         diag, off, select="i", select_range=(0, k - 1), eigvals_only=True
     )
-    return np.asarray(vals)
 
 
 @dataclass
 class EigenResult:
     eigenvalues: np.ndarray  # Richardson-extrapolated
-    raw: list  # per-refinement eigenvalue arrays
-    npts_list: list
     orders: np.ndarray  # observed convergence order per eigenvalue
-    log: list
 
 
 def eigensolve_factorized(
@@ -127,15 +124,15 @@ def eigensolve_factorized(
     p0_tilde: float,
     k: int,
     npts: int = 1000,
-    refinements: int = 2,
     partner: bool = False,
-    rtol: float = 1e-5,
 ) -> EigenResult:
     """Independent oracle for the closed-form ladder eigenvalues.
 
-    Solves on grids npts, 2*npts+1, ... (halving the spacing each time),
-    Richardson-extrapolates the two finest levels and estimates the
-    observed convergence order when three levels are available.
+    Solves on grids npts, 2*npts+1 and 4*npts+3 (halving the spacing each
+    time), Richardson-extrapolates the two finest and estimates the
+    observed convergence order from all three.  Raises RuntimeError, with
+    the eigenvalues of each grid, when the two finest differ by 1e-4 or
+    more relative to the largest extrapolated eigenvalue.
 
     Domain: for lam = 1/(bt wt) < 3/2 the wall u = +-pi/2 is limit-circle
     (both cos^lam and cos^(1-lam) are square-integrable there).  The
@@ -145,39 +142,21 @@ def eigensolve_factorized(
     """
     if params.beta_tilde >= 1:
         raise DiagnosticModeError()
-    npts_list = []
-    raw = []
-    n = npts
-    for _ in range(refinements + 1):
-        raw.append(
-            lowest_eigenvalues(params, p0_tilde, k, n, partner=partner)
+    sizes = (npts, 2 * npts + 1, 4 * npts + 3)
+    raw = [lowest_eigenvalues(params, p0_tilde, k, n, partner) for n in sizes]
+    coarse, mid, fine = raw
+    rich = (4.0 * fine - mid) / 3.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        orders = np.log2(np.abs(coarse - mid) / np.abs(mid - fine))
+    delta = np.max(np.abs(fine - mid)) / max(np.max(np.abs(rich)), 1e-30)
+    if not delta < 1e-4:
+        log = [{"npts": n, "eigenvalues": [float(x) for x in ev]}
+               for n, ev in zip(sizes, raw)]
+        raise RuntimeError(
+            f"eigensolver failed to converge: last inter-grid change "
+            f"{delta:.3e} (log: {log})"
         )
-        npts_list.append(n)
-        n = 2 * n + 1
-    if refinements >= 1:
-        rich = (4.0 * raw[-1] - raw[-2]) / 3.0
-    else:
-        rich = raw[-1]
-    if refinements >= 2:
-        d1 = raw[-3] - raw[-2]
-        d2 = raw[-2] - raw[-1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            orders = np.log2(np.abs(d1) / np.abs(d2))
-    else:
-        orders = np.full(k, np.nan)
-    scale = max(np.max(np.abs(rich)), 1e-30)
-    log = [
-        {"npts": np_, "eigenvalues": [float(x) for x in ev]}
-        for np_, ev in zip(npts_list, raw)
-    ]
-    if refinements >= 1:
-        delta = np.max(np.abs(raw[-1] - raw[-2])) / scale
-        if not delta < 10 * rtol:
-            raise RuntimeError(
-                f"eigensolver failed to converge: last inter-grid change "
-                f"{delta:.3e} (log: {log})"
-            )
-    return EigenResult(rich, raw, npts_list, orders, log)
+    return EigenResult(rich, orders)
 
 
 # ---------------------------------------------------------------------------
@@ -188,12 +167,16 @@ def fd_derivative(values, dq: float, order: int = 6):
     """Central-difference d/dq with one-sided closures at the walls.
 
     The wavefunctions vanish at the Dirichlet boundary, so the lower-order
-    edge closures do not limit global accuracy.
+    edge closures do not limit global accuracy.  order is 4 or 6, on at
+    least order + 1 points.
     """
     v = np.asarray(values, dtype=float)
     n = v.size
+    if order not in (4, 6) or n < order + 1:
+        raise ValueError(f"no order-{order} stencil on {n} points "
+                         "(order 4 or 6, on at least order + 1 points)")
     out = np.empty_like(v)
-    if order == 6 and n >= 7:
+    if order == 6:
         c = (-1.0 / 60, 3.0 / 20, -3.0 / 4, 3.0 / 4, -3.0 / 20, 1.0 / 60)
         out[3:-3] = (
             c[0] * v[:-6]
@@ -204,11 +187,9 @@ def fd_derivative(values, dq: float, order: int = 6):
             + c[5] * v[6:]
         ) / dq
         edge = 3
-    elif n >= 5:
+    else:
         out[2:-2] = (v[:-4] - 8 * v[1:-3] + 8 * v[3:-1] - v[4:]) / (12 * dq)
         edge = 2
-    else:
-        raise ValueError("grid too small for finite differences")
     # second-order closures near the boundary (Dirichlet: ghost value 0)
     for i in range(edge):
         left = v[i - 1] if i > 0 else 0.0
@@ -384,11 +365,11 @@ class WavefunctionGrid:
         yield from (self.p, self.q, self.psi1, self.psi2, self.f, self.weights)
 
 
-def ladder_apply(sign: int, grid: WavefunctionGrid, values, tol: float = 1e-6):
+def ladder_apply(sign: int, grid: WavefunctionGrid, values):
     """Apply B^+ (sign=+1) or B^- (sign=-1): B^{+-} = p -+ wt d/dq.
 
     Returns (result, meta); meta carries a derivative-error estimate and a
-    too-coarse warning when it exceeds tol relative to the input norm.
+    too-coarse warning when it exceeds 1e-6 relative to the input norm.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -398,7 +379,7 @@ def ladder_apply(sign: int, grid: WavefunctionGrid, values, tol: float = 1e-6):
     out = grid.p * values - sign * wt * d6
     scale = _l2norm(values, grid.dq) or 1.0
     est = wt * _l2norm(d6 - d4, grid.dq) / scale
-    meta = {"derivative_error_estimate": est, "too_coarse": est > tol}
+    meta = {"derivative_error_estimate": est, "too_coarse": est > 1e-6}
     return out, meta
 
 

@@ -43,9 +43,10 @@ class MomentSet:
     def __post_init__(self):
         if len(self.mean_P) != self.D or len(self.spread_P) != self.D:
             raise ValueError("need one mean and spread per spatial dimension")
-        if any(s < 0 for s in self.spread_P):
+        # written so that NaN fails too
+        if not all(s >= 0 for s in self.spread_P):
             raise ValueError("spreads must be nonnegative")
-        if self.meansq_P0 < 0:
+        if not self.meansq_P0 >= 0:
             raise ValueError("<(P^0)^2> must be nonnegative")
 
     def isotropic(self) -> bool:
@@ -74,7 +75,7 @@ def gup_bound(deltaP: float, beta: float, hbar: float = 1.0) -> float:
     Over dP the bound attains its global minimum hbar*sqrt(beta) at
     dP = 1/sqrt(beta).
     """
-    if deltaP <= 0:
+    if not deltaP > 0:
         raise ValueError("deltaP must be positive")
     return 0.5 * hbar * (1.0 / deltaP + beta * deltaP)
 
@@ -111,9 +112,9 @@ def min_deltaX(
     if not m.isotropic():
         raise ValueError("min_deltaX assumes isotropic spreads")
     brace = _brace(m, params, i)
-    if brace <= 0:
+    if not brace > 0:
         raise AcceptabilityError(
-            f"brace quantity {brace} <= 0: state violates acceptability"
+            f"brace quantity {brace} is not > 0: state violates acceptability"
         )
     return hbar * math.sqrt((m.D * params.beta + params.beta_prime) * brace)
 
@@ -127,7 +128,7 @@ def absolute_min_deltaX(
     Euclidean-deformation value hbar sqrt(D beta + betap) at <(P0)^2> = 0.
     """
     factor = 1.0 - params.beta * meansq_P0
-    if factor <= 0:
+    if not factor > 0:
         raise AcceptabilityError(
             "beta <(P0)^2> >= 1 violates the acceptability condition"
         )
@@ -139,7 +140,6 @@ class StateMoments:
     moments: MomentSet
     deltaX: float
     deltaP: float
-    mean_X: float
 
 
 def state_moments(grid: WavefunctionGrid, params: DOParams) -> StateMoments:
@@ -170,7 +170,7 @@ def state_moments(grid: WavefunctionGrid, params: DOParams) -> StateMoments:
     ms = MomentSet(
         D=1, mean_P=(0.0,), spread_P=(dP,), meansq_P0=level.p0_tilde**2
     )
-    return StateMoments(ms, math.sqrt(meansq_x), dP, 0.0)
+    return StateMoments(ms, math.sqrt(meansq_x), dP)
 
 
 def uncertainty_report(grid: WavefunctionGrid, params: DOParams) -> dict:
@@ -185,7 +185,7 @@ def uncertainty_report(grid: WavefunctionGrid, params: DOParams) -> dict:
             "mean_P": list(sm.moments.mean_P),
             "spread_P": list(sm.moments.spread_P),
             "meansq_P0": sm.moments.meansq_P0,
-            "mean_X": sm.mean_X,
+            "mean_X": 0.0,  # by parity, as <P>
         },
         "bound": bound,
         "deltaX": sm.deltaX,

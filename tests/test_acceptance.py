@@ -171,9 +171,7 @@ def test_criterion_05_eigen_oracle():
             params = DOParams(bt, wt)
             p0 = p0_allowed(params, QuantumNumber(2, 1))
             c0 = 1.0 - bt * p0**2
-            res = eigensolve_factorized(
-                params, p0, k=6, npts=1000, refinements=2
-            )
+            res = eigensolve_factorized(params, p0, k=6, npts=1000)
             exact = np.array([level_K(params, k) * c0 for k in range(6)])
             # the k = 0 eigenvalue is exactly zero, so its error is taken
             # relative to the first nonzero level

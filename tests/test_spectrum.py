@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -65,6 +66,12 @@ def test_quantum_number_domain():
         QuantumNumber(-1, 1)
     with pytest.raises(ValueError):
         QuantumNumber(1, 2)
+    # quantum numbers are integers; numpy integers pass
+    QuantumNumber(np.int64(2), np.int64(-1))
+    with pytest.raises(TypeError):
+        QuantumNumber(1.5, 1)
+    with pytest.raises(TypeError):
+        QuantumNumber(2, 1.0)
 
 
 def test_level_K_closed_form():

@@ -37,6 +37,11 @@ def test_momentset_validation():
         MomentSet(D=1, mean_P=(0.0,), spread_P=(-1.0,), meansq_P0=1.0)
     with pytest.raises(ValueError):
         MomentSet(D=1, mean_P=(0.0,), spread_P=(1.0,), meansq_P0=-1.0)
+    # NaN compares False against zero either way; it must fail too
+    with pytest.raises(ValueError):
+        MomentSet(D=1, mean_P=(0.0,), spread_P=(math.nan,), meansq_P0=1.0)
+    with pytest.raises(ValueError):
+        MomentSet(D=1, mean_P=(0.0,), spread_P=(1.0,), meansq_P0=math.nan)
 
 
 def test_momentset_contractions():
@@ -58,6 +63,8 @@ def test_gup_bound_positive_argument_required():
         gup_bound(0.0, 0.1)
     with pytest.raises(ValueError):
         gup_bound(-1.0, 0.1)
+    with pytest.raises(ValueError):
+        gup_bound(math.nan, 0.1)
 
 
 @pytest.mark.parametrize("beta", [0.01, 0.3, 2.0])
@@ -163,6 +170,10 @@ def test_min_deltaX_unacceptable_state():
     m = MomentSet(D=1, mean_P=(0.0,), spread_P=(1.0,), meansq_P0=4.0)
     with pytest.raises(AcceptabilityError):
         min_deltaX(m, params, 1)
+    # a NaN mean makes the brace NaN, which is not positive either
+    m = MomentSet(D=1, mean_P=(math.nan,), spread_P=(1.0,), meansq_P0=0.0)
+    with pytest.raises(AcceptabilityError):
+        min_deltaX(m, params, 1)
 
 
 def test_absolute_min_deltaX_euclidean_value():
@@ -184,6 +195,8 @@ def test_absolute_min_deltaX_shrinks_with_energy_content():
     assert b < a
     with pytest.raises(AcceptabilityError):
         absolute_min_deltaX(params, 6.0, 1)
+    with pytest.raises(AcceptabilityError):
+        absolute_min_deltaX(DeformationParams(0.1), math.nan, 3)
 
 
 # ---- oscillator states ------------------------------------------------------

@@ -79,6 +79,16 @@ def test_fd_derivative_accuracy():
     for order, tol in ((6, 1e-10), (4, 1e-7)):
         err = np.max(np.abs(fd_derivative(v, dq, order=order) - exact))
         assert err < tol
+    # no silent fallback to another stencil
+    for order in (5, 8):
+        with pytest.raises(ValueError):
+            fd_derivative(v, dq, order=order)
+    for size in (5, 6):
+        with pytest.raises(ValueError):
+            fd_derivative(v[:size], dq, order=6)
+    with pytest.raises(ValueError):
+        fd_derivative(v[:4], dq, order=4)
+    assert fd_derivative(v[:7], dq, order=6).shape == (7,)
 
 
 # ---- eigenvalue oracle ------------------------------------------------------
@@ -89,7 +99,7 @@ def test_eigensolver_matches_closed_form(bt, wt):
     p = DOParams(bt, wt)
     p0 = p0_allowed(p, QuantumNumber(2, 1))
     c0 = 1.0 - bt * p0**2
-    res = eigensolve_factorized(p, p0, k=5, npts=800, refinements=2)
+    res = eigensolve_factorized(p, p0, k=5, npts=800)
     expect = np.array([level_K(p, k) * c0 for k in range(5)])
     assert np.max(np.abs(res.eigenvalues - expect)) < 1e-6 * max(expect[-1], 1)
     # second-order stencil, so observed order about 2 (skip the zero mode)
@@ -111,8 +121,11 @@ def test_partner_spectrum_is_shifted():
 
 def test_eigensolver_nonconvergence_raises():
     p = DOParams(0.3, 1.0)
-    with pytest.raises(RuntimeError):
-        eigensolve_factorized(p, 1.0, k=3, npts=80, refinements=1, rtol=1e-16)
+    with pytest.raises(RuntimeError) as err:
+        eigensolve_factorized(p, 1.0, k=3, npts=80)
+    # the message lists the eigenvalues of each grid of the ladder
+    for npts in (80, 161, 323):
+        assert f"'npts': {npts}," in str(err.value)
 
 
 def test_eigensolver_refuses_diagnostic_regime():
