@@ -360,6 +360,11 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # a --grid-size whose arrays this machine cannot hold; numpy
+        # refuses the allocation before it takes any memory
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
     except (UnphysicalDeformationError, AcceptabilityError) as exc:
         # beta_tilde >= 1, or a level whose measure factor 1 - bt p0^2
         # rounds to <= 0 (bt K past about 1e16)

@@ -57,6 +57,10 @@ class GridSpec:
     def __post_init__(self):
         if self.size < 64:
             raise ValueError("grid size must be at least 64")
+        # past this a float64 array of the nodes has more bytes than numpy
+        # can address
+        if self.size > np.iinfo(np.intp).max // 8:
+            raise ValueError(f"grid size {self.size} is too large")
 
 
 def _box_halfwidth(omega_tilde: float, n: int) -> float:

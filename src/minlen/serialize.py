@@ -8,28 +8,135 @@ honor the fixed format, so we emit the text ourselves (keys keep insertion
 order).  JSON has no spelling for NaN or infinity, so non-finite floats are
 written as null; CSV keeps Python's nan/inf.
 
-Tables (`Table`, `write_csv`) are given as columns and written through one
-row template built once per table: `%d` for an integer column and
-`FLOAT_FORMAT` for a float column, with the JSON keys encoded into the
-template, so each row is a single `template % row`.  A JSON float column
-holding a non-finite value is rendered cell by cell to text or null first.
-Any other column type (bool, object, strings), or a value with no JSON
-spelling (complex, object), is a TypeError; other reals are written as floats.
+Tables (`Table`, `write_csv`) are given as columns and rendered in numpy,
+`CHUNK_ROWS` rows at a time.  Each cell is a `SLOT`-byte slot padded with
+NUL bytes; the constant bytes (commas and newlines, or the JSON keys and
+braces) are laid around the slots, and the padding is stripped.  A float
+cell is built by `_float_cells` from its 17-digit integer, computed in
+double-double arithmetic; a cell it cannot certify (zeros, subnormals,
+non-finite values, a digit string within 1e-9 of a rounding tie, or a
+decimal exponent estimate that missed) is `FLOAT_FORMAT % v` in the same
+slot, so the scalar format is the reference.  An integer cell is `%d`.
+`write_csv` writes the chunks in turn and `_emit` extends its output with
+them, so no full-size copy of a table's text is made.  Any other column
+type (bool, object, strings), or a value with no JSON spelling (complex,
+object), is a TypeError; other reals are written as floats.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import sys
+from fractions import Fraction
 from math import isfinite
 from numbers import Real
 
 import numpy as np
 
 FLOAT_FORMAT = "%.16e"
+CHUNK_ROWS = 4096
+# the widest cell: "-1.2345678901234567e-308", or a 20-digit uint64
+SLOT = 24
+
+# 10^k for the k = 16 - floor(log10|x|) of normal doubles
+_K0, _K1 = 16 - 308, 16 + 308
 
 
 def fmt_float(x: float) -> str:
     return FLOAT_FORMAT % float(x)
+
+
+@functools.cache
+def _tables():
+    """The lookup tables of `_float_cells`, built on first use: "0000" to
+    "9999" as four ASCII digits in one uint32 each, then (H, L, b) arrays
+    with 10^k = (H + L)·2^b, H in [1/2, 1] and H + L exact to about
+    2^-106, for k = _K0.._K1."""
+    digits = np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")
+    table = []
+    for k in range(_K0, _K1 + 1):
+        f = Fraction(10) ** k
+        b = f.numerator.bit_length() - f.denominator.bit_length()
+        if f >= Fraction(2) ** b:
+            b += 1
+        r = f / Fraction(2) ** b
+        h = float(r)
+        table.append((h, float(r - Fraction(h)), b))
+    arrays = [digits.astype(np.uint8).view(np.uint32)[:, 0]]
+    arrays += [np.array(column) for column in zip(*table)]
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _split(v):
+    """Veltkamp's split: the high 26 bits of v (v minus it is exact)."""
+    c = 134217729.0 * v
+    return c - (c - v)
+
+
+def _slots(texts) -> np.ndarray:
+    """ASCII strings as rows of SLOT bytes, padded with NUL."""
+    return np.array(texts, dtype=f"S{SLOT}").view(np.uint8).reshape(-1, SLOT)
+
+
+def _float_cells(x: np.ndarray, null_nonfinite: bool) -> np.ndarray:
+    """`FLOAT_FORMAT % v` of each float64 v, as rows of SLOT bytes.
+
+    |v| = m·2^e is scaled by 10^k, k = 16 - floor(log10|v|), as
+    m·(H + L)·2^(b+e): m·H exactly by Dekker's product, plus m·L.  The
+    rounded result N is the 17-digit integer of the cell, to about 1e-14.
+    A cell is certified when v is normal, the fraction rounded off is not
+    within 1e-9 of 1/2, the scaled value before rounding is at least
+    10^16 and N < 10^17 (a wrong log10 estimate or a carry into the next
+    power of ten leaves that range); every other cell is formatted by
+    `FLOAT_FORMAT` (or is null for JSON).  The doubles nearest the lower
+    end are those nearest a power of ten, and the tests check them all.
+    """
+    a = np.abs(x)
+    normal = (a >= sys.float_info.min) & (a <= sys.float_info.max)
+    a = np.where(normal, a, 1.0)
+    e10 = np.floor(np.log10(a)).astype(np.int64)
+    m, e = np.frexp(a)
+    digits4, h, l, b = _tables()
+    i = np.clip(16 - e10 - _K0, 0, _K1 - _K0)
+    H, s = h[i], b[i] + e
+    p = m * H
+    mh, Hh = _split(m), _split(H)
+    ml, Hl = m - mh, H - Hh
+    err = ((mh * Hh - p) + mh * Hl + ml * Hh) + ml * Hl
+    big = np.ldexp(p, s)
+    whole = np.rint(big)
+    frac = (big - whole) + np.ldexp(err + m * l[i], s)
+    carry = np.rint(frac)
+    n = whole.astype(np.int64) + carry.astype(np.int64)
+    sure = (normal & (np.abs(frac - carry) < 0.5 - 1e-9)
+            & ((whole - 1e16) + frac >= 0) & (n < 10**17))
+    n = np.where(sure, n, 10**16)  # one leading digit in every cell
+
+    lead, rest = np.divmod(n, 10**16)
+    high, low = np.divmod(rest, 10**8)
+    quads = np.stack([high // 10**4, high % 10**4, low // 10**4, low % 10**4],
+                     axis=1)
+    exp = digits4[np.abs(e10)].view(np.uint8).reshape(-1, 4)
+    cells = np.empty((len(x), SLOT), np.uint8)
+    cells[:, 0] = np.where(x < 0, ord("-"), 0)
+    cells[:, 1] = lead + ord("0")
+    cells[:, 2] = ord(".")
+    cells[:, 3:19] = digits4[quads].view(np.uint8)
+    cells[:, 19] = ord("e")
+    cells[:, 20] = np.where(e10 < 0, ord("-"), ord("+"))
+    # %e prints at least two exponent digits
+    cells[:, 21] = np.where(exp[:, 1] == ord("0"), 0, exp[:, 1])
+    cells[:, 22:24] = exp[:, 2:4]
+
+    alone = np.flatnonzero(~sure)
+    if alone.size:
+        cells[alone] = _slots([
+            "null" if null_nonfinite and not isfinite(v) else FLOAT_FORMAT % v
+            for v in x[alone].tolist()])
+    return cells
 
 
 class Table:
@@ -44,38 +151,46 @@ class Table:
         if any(c.ndim != 1 or len(c) != len(self.columns[0])
                for c in self.columns):
             raise ValueError("table columns must be 1-D and of equal length")
+        for c in self.columns:
+            if c.dtype.kind not in "iuf":
+                raise TypeError(f"cannot write a table column of {c.dtype}")
 
-    def _rows(self, for_json: bool):
-        """(cell specs, row tuples) for the row template."""
-        specs, cols = [], []
-        for col in self.columns:
-            kind = col.dtype.kind
-            cells = col.tolist()
-            if kind in "iu":
-                specs.append("%d")
-            elif kind != "f":
-                raise TypeError(f"cannot write a table column of {col.dtype}")
-            elif for_json and not np.isfinite(col).all():
-                specs.append("%s")
-                cells = [fmt_float(x) if isfinite(x) else "null"
-                         for x in cells]
-            else:
-                specs.append(FLOAT_FORMAT)
-            cols.append(cells)
-        return specs, zip(*cols)
+    def chunks(self, for_json: bool):
+        """The rows as text, CHUNK_ROWS rows a chunk: CSV lines, or the
+        JSON list of row objects."""
+        ncols = len(self.header)
+        if for_json:
+            before = [", {"] + [", "] * (ncols - 1)
+            before = [s + json.dumps(h) + ": "
+                      for s, h in zip(before, self.header)]
+            after = "}"
+        else:
+            before, after = [""] + [","] * (ncols - 1), "\n"
+        template, offsets = b"", []
+        for piece in before:
+            template += piece.encode()
+            offsets.append(len(template))
+            template += bytes(SLOT)
+        template = np.frombuffer(template + after.encode(), np.uint8)
 
-    def csv_text(self) -> str:
-        specs, rows = self._rows(for_json=False)
-        template = ",".join(specs) + "\n"
-        return ",".join(self.header) + "\n" + "".join(
-            [template % row for row in rows])
-
-    def json_text(self) -> str:
-        specs, rows = self._rows(for_json=True)
-        keys = [json.dumps(h).replace("%", "%%") for h in self.header]
-        template = "{" + ", ".join(
-            f"{k}: {s}" for k, s in zip(keys, specs)) + "}"
-        return "[" + ", ".join([template % row for row in rows]) + "]"
+        nrows = len(self.columns[0]) if self.columns else 0
+        if for_json:
+            yield "["
+        for start in range(0, nrows, CHUNK_ROWS):
+            part = [c[start:start + CHUNK_ROWS] for c in self.columns]
+            rows = np.empty((len(part[0]), template.size), np.uint8)
+            rows[:] = template
+            for off, col in zip(offsets, part):
+                if col.dtype.kind == "f":
+                    cells = _float_cells(col.astype(np.float64), for_json)
+                else:
+                    cells = _slots(["%d" % v for v in col.tolist()])
+                rows[:, off:off + SLOT] = cells
+            text = rows.tobytes().translate(None, b"\0").decode("ascii")
+            # the first row object has no ", " before it
+            yield text[2:] if for_json and start == 0 else text
+        if for_json:
+            yield "]"
 
 
 def _emit(obj, out: list):
@@ -106,7 +221,7 @@ def _emit(obj, out: list):
             _emit(v, out)
         out.append("]")
     elif isinstance(obj, Table):
-        out.append(obj.json_text())
+        out.extend(obj.chunks(for_json=True))
     elif isinstance(obj, Real):
         # numpy floating scalars other than float64, Fraction
         x = float(obj)
@@ -115,20 +230,26 @@ def _emit(obj, out: list):
         raise TypeError(f"cannot write a {type(obj).__name__} value as JSON")
 
 
-def dumps_json(obj) -> str:
+def _json_pieces(obj) -> list:
     out: list = []
     _emit(obj, out)
     out.append("\n")
-    return "".join(out)
+    return out
+
+
+def dumps_json(obj) -> str:
+    return "".join(_json_pieces(obj))
 
 
 def write_json(path, obj):
+    pieces = _json_pieces(obj)
     with open(path, "w") as fh:
-        fh.write(dumps_json(obj))
+        fh.writelines(pieces)
 
 
 def write_csv(path, header, columns):
     """The table of `columns` under `header`, one line per row."""
-    text = Table(header, columns).csv_text()
+    table = Table(header, columns)
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.write(",".join(table.header) + "\n")
+        fh.writelines(table.chunks(for_json=False))

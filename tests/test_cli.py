@@ -113,6 +113,10 @@ def test_exit_codes(tmp_path):
         (WF + ["--grid-size", "2001", "--tol", "0"] + out("c17"), 2),
         (WF + ["--grid-size", "10"] + out("c18"), 2),
         (WF + ["--grid-size", "0"] + out("c19"), 2),
+        # grids numpy refuses before allocating anything: past the memory
+        # of any machine, and past what a float64 array can address
+        (WF + ["--grid-size", "1000000000000000"] + out("c28"), 2),
+        (UNC + ["--grid-size", "100000000000000000000"] + out("c29"), 2),
         (["spectrum", "--beta-tilde", "0.5", "--omega-tilde", "1.0",
           "--n-max", "-1"] + out("c20"), 2),
         (LIM + ["--n-max", "-1"] + out("c21"), 2),
@@ -176,6 +180,8 @@ def test_exit_codes(tmp_path):
         ["verify-algebra", "--dims", "1", "--format", "csv"] + out("f1"),
         SPECTRUM_OK + ["--tol", "1e-3"] + out("f2"),
         SPECTRUM_OK + ["--out-dir", str(not_dir)],
+        WF + ["--grid-size", "1000000000000000"] + out("f3"),
+        UNC + ["--grid-size", "100000000000000000000"] + out("f4"),
     ):
         assert one_usage_error(args), args
 

@@ -1,11 +1,15 @@
-"""The table writer against the per-cell rule it replaced.
+"""The table writer against the per-cell rule.
 
-`Table` and `write_csv` format a whole row through one template.  The
-oracle below is the old writer: CSV cells are `str(v)` for an int and
+`Table` and `write_csv` render float cells in numpy and hand only the
+cells that rendering cannot certify to `FLOAT_FORMAT`.  The oracle below
+formats each cell alone: CSV cells are `str(v)` for an int and
 `format(float(v), ".16e")` otherwise (nan and inf included), and a JSON
 table is the generic emitter's list of row objects.  Columns are drawn
 with signed zeros, subnormals, the largest floats, nan and both
-infinities, and integers over the whole int64 range.
+infinities, and integers over the whole int64 range.  A seeded sample of
+several hundred thousand floats (every exponent, powers of ten and their
+neighbours, large integers, dyadic rationals) checks the float cells
+where a near tie or a missed decimal exponent would show.
 """
 
 import json
@@ -13,12 +17,14 @@ import os
 import string
 import tempfile
 from fractions import Fraction
+from math import isfinite
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from minlen.serialize import Table, dumps_json, write_csv
+from minlen import serialize
+from minlen.serialize import FLOAT_FORMAT, Table, dumps_json, write_csv
 
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
            1.7976931348623157e308, -1.7976931348623157e308,
@@ -149,3 +155,57 @@ def test_real_scalars_are_written_as_floats():
 def test_values_without_json_spelling_are_rejected(value):
     with pytest.raises(TypeError):
         dumps_json({"o": value})
+
+
+def exactness_sample():
+    """Seeded floats where the rendering's guards matter: random bit
+    patterns over every exponent field (subnormals, nan and inf included),
+    every power of ten with both neighbours, random integers up to 2**62
+    and dyadic rationals m / 2**j."""
+    rng = np.random.default_rng(20061218)
+    size = 120_000
+    fields = np.resize(np.arange(2048, dtype=np.uint64), size)
+    bits = ((rng.integers(0, 2, size, dtype=np.uint64) << np.uint64(63))
+            | (fields << np.uint64(52))
+            | rng.integers(0, 2**52, size, dtype=np.uint64))
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    return np.concatenate([
+        bits.view(np.float64),
+        [0.0, -0.0, np.nan, np.inf, -np.inf],
+        tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf), -tens,
+        rng.integers(-(2**62), 2**62, 40_000).astype(np.float64),
+        (rng.integers(-(2**53), 2**53, 40_000)
+         / 2.0 ** rng.integers(0, 80, 40_000)),
+    ])
+
+
+def test_float_cells_match_the_scalar_format():
+    x = exactness_sample()
+    want = [FLOAT_FORMAT % v for v in x.tolist()]
+    csv = "".join(Table(["v"], [x]).chunks(for_json=False))
+    assert csv.split("\n")[:-1] == want
+    text = "".join(Table(["v"], [x]).chunks(for_json=True))
+    cells = [c.removeprefix('{"v": ').removesuffix("}")
+             for c in text[1:-1].split(", ")]
+    assert cells == [w if isfinite(v) else "null"
+                     for w, v in zip(want, x.tolist())]
+
+
+def test_only_uncertain_cells_are_formatted_alone(monkeypatch):
+    """Ordinary values, integers and powers of ten are rendered in numpy;
+    zeros, non-finite values and an exact rounding tie (17 digits, then a
+    5) are formatted one by one."""
+    rng = np.random.default_rng(7)
+    # below 1e6 a 17-digit rounding tie is rare (under 2**-20 a cell)
+    ordinary = np.concatenate([
+        rng.standard_normal(5000) * 10.0 ** rng.integers(-300, 6, 5000),
+        np.arange(1.0, 1001.0), 10.0 ** np.arange(17), np.full(100, 1.0)])
+    alone = [0.0, -0.0, np.nan, np.inf, 45512082456347.6875]
+    x = np.concatenate([ordinary, alone])
+    scalar = []
+    slots = serialize._slots
+    monkeypatch.setattr(serialize, "_slots",
+                        lambda texts: slots(scalar.extend(texts) or texts))
+    text = "".join(Table(["v"], [x]).chunks(for_json=False))
+    assert text.split("\n")[:-1] == [FLOAT_FORMAT % v for v in x.tolist()]
+    assert scalar == [FLOAT_FORMAT % v for v in alone]
