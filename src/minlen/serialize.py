@@ -113,7 +113,6 @@ def _float_cells(x: np.ndarray, null_nonfinite: bool) -> np.ndarray:
     n = whole.astype(np.int64) + carry.astype(np.int64)
     sure = (normal & (np.abs(frac - carry) < 0.5 - 1e-9)
             & ((whole - 1e16) + frac >= 0) & (n < 10**17))
-    n = np.where(sure, n, 10**16)  # one leading digit in every cell
 
     lead, rest = np.divmod(n, 10**16)
     high, low = np.divmod(rest, 10**8)
