@@ -192,9 +192,17 @@ def cmd_wavefunction(args):
     header = ["p_tilde", "q", "psi1", "psi2", "f", "weight"]
     _write_table(args, stem, header, wf.csv_rows())
     meta = wf.metadata
-    worst = max(meta["residual_coupled_1"], meta["residual_coupled_2"],
-                meta["quadrature_error"])
-    passed = worst <= args.tol and abs(wf.norm_squared() - 1.0) <= 1e-8
+    norm_squared = wf.norm_squared()
+    # each quantity on its own: a nan passes no comparison, so it misses
+    missed = [f"{name} = {meta[name]:.3e} (tol {args.tol:.3e})"
+              for name in ("residual_coupled_1", "residual_coupled_2",
+                           "quadrature_error")
+              if not meta[name] <= args.tol]
+    if not abs(norm_squared - 1.0) <= 1e-8:
+        missed.append(f"norm_squared = {norm_squared:.3e} (tol 1 +- 1e-8)")
+    passed = not missed
+    if missed:
+        print(f"check failed: {'; '.join(missed)}", file=sys.stderr)
     report = {
         "beta_tilde": params.beta_tilde,
         "omega_tilde": params.omega_tilde,
@@ -204,7 +212,7 @@ def cmd_wavefunction(args):
         "residual_coupled_1": meta["residual_coupled_1"],
         "residual_coupled_2": meta["residual_coupled_2"],
         "quadrature_error": meta["quadrature_error"],
-        "norm_squared": wf.norm_squared(),
+        "norm_squared": norm_squared,
         "tol": args.tol,
         "passed": passed,
     }

@@ -27,8 +27,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import poch
 
 from .spectrum import (
     AcceptabilityError,
@@ -61,6 +59,21 @@ class GridSpec:
         # can address
         if self.size > np.iinfo(np.intp).max // 8:
             raise ValueError(f"grid size {self.size} is too large")
+
+
+def eigh_tridiagonal(*args, **kwargs):
+    """scipy.linalg.eigh_tridiagonal, imported on the first call: the exact
+    half of the package and most subcommands never need scipy."""
+    from scipy.linalg import eigh_tridiagonal
+
+    return eigh_tridiagonal(*args, **kwargs)
+
+
+def poch(z, m):
+    """scipy.special.poch, imported on the first call."""
+    from scipy.special import poch
+
+    return poch(z, m)
 
 
 def _box_halfwidth(omega_tilde: float, n: int) -> float:
@@ -399,16 +412,20 @@ def _sampled(params: DOParams, level: SpectrumLevel, npts: int):
         raise DiagnosticModeError()
     p0, wt = level.p0_tilde, params.omega_tilde
     q, p, f, dq, _ = flat_grid(params, p0, npts, level.n)
-    psi1, psi2, d1, d2 = _spinor(params, level, p)
-    raw = float(np.sum(psi1**2 + psi2**2) * dq)
-    # a state that vanishes at every node stays unnormalized
-    scale = 1.0 / math.sqrt(raw) if raw > 0 else 1.0
-    res2 = p * psi1 + wt * d1 - (p0 + 1.0) * psi2
-    res1 = p * psi2 - wt * d2 - (p0 - 1.0) * psi1
-    wf = WavefunctionGrid(params, level, q, p, scale * psi1, scale * psi2, f,
-                          dq, scale)
-    wf.metadata["residual_coupled_1"] = scale * _l2norm(res1, dq)
-    wf.metadata["residual_coupled_2"] = scale * _l2norm(res2, dq)
+    # a state out of double range (extreme bt wt, where lam = 1/(bt wt) or
+    # the recurrence overflows) samples as inf or nan, and the residuals and
+    # the quadrature error below report it: numpy's warnings would add noise
+    with np.errstate(all="ignore"):
+        psi1, psi2, d1, d2 = _spinor(params, level, p)
+        raw = float(np.sum(psi1**2 + psi2**2) * dq)
+        # a state that vanishes at every node stays unnormalized
+        scale = 1.0 / math.sqrt(raw) if raw > 0 else 1.0
+        res2 = p * psi1 + wt * d1 - (p0 + 1.0) * psi2
+        res1 = p * psi2 - wt * d2 - (p0 - 1.0) * psi1
+        wf = WavefunctionGrid(params, level, q, p, scale * psi1, scale * psi2,
+                              f, dq, scale)
+        wf.metadata["residual_coupled_1"] = scale * _l2norm(res1, dq)
+        wf.metadata["residual_coupled_2"] = scale * _l2norm(res2, dq)
     # an exact norm that under- or overflows (extreme wt) fails the check
     exact = _norm_integral(params, level)
     err = abs(raw / exact - 1.0) if 0 < exact < math.inf else math.inf

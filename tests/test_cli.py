@@ -397,6 +397,9 @@ def test_wavefunction_at_tiny_omega_fails_quadrature(tmp_path):
     ])
     assert code == 1
     assert report["quadrature_error"] is None and not report["passed"]
+    # no float warnings, one line naming what missed
+    assert len(err) == 1 and err[0].startswith("check failed:")
+    assert "quadrature_error = inf" in err[0]
 
 
 def test_uncertainty_at_huge_omega(tmp_path):
