@@ -223,7 +223,7 @@ def cmd_uncertainty(args):
     params = _oscillator(args.beta_tilde, args.omega_tilde)
     grid = _grid(args)
     records = []
-    ok = True
+    missed = []
     for n in range(args.n_max + 1):
         wf = wavefunction(params, QuantumNumber(n, 1), grid)
         if not abs(wf.norm_squared() - 1.0) <= 1e-8:
@@ -232,16 +232,22 @@ def cmd_uncertainty(args):
         rec = uncertainty_report(wf, params)
         # rounding-scale tolerance on the inequality; a nan slack (bt wt
         # >= 2, where dX and dP diverge) fails
-        ok = ok and rec["slack"] >= -1e-10
+        if not rec["slack"] >= -1e-10:
+            missed.append((n, rec["slack"]))
         records.append(rec)
     write_json(os.path.join(args.out_dir, "uncertainty.json"), records)
+    if missed:
+        # one line after the loop: a later exception prints its own
+        n, slack = missed[0]
+        print(f"check failed: level {n} slack = {slack:.3e} (tol -1e-10)",
+              file=sys.stderr)
     report = {
         "beta_tilde": params.beta_tilde,
         "omega_tilde": params.omega_tilde,
         "n_max": args.n_max,
-        "passed": ok,
+        "passed": not missed,
     }
-    return report, 0 if ok else 1
+    return report, 1 if missed else 0
 
 
 def cmd_limits(args):

@@ -233,8 +233,10 @@ def _coefficients(mu, m: int):
     k = np.arange(1.0, m + 1)
     if mu is None:
         return np.sqrt(0.5 * k)
-    a = np.sqrt(k * (k + 2 * mu - 1) / ((k + mu) * (k + mu - 1))) / 2
-    a[:1] = math.sqrt(0.5 / (1.0 + mu))  # finite at mu = 0 (Chebyshev)
+    a = np.empty(m)
+    a[:1] = math.sqrt(0.5 / (1.0 + mu))  # the formula is 0/0 at mu = 0
+    k = k[1:]
+    a[1:] = np.sqrt(k * (k + 2 * mu - 1) / ((k + mu) * (k + mu - 1))) / 2
     return a
 
 

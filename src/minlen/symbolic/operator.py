@@ -4,15 +4,13 @@ An operator is a finite sum of terms c(p) * d^a, with the coefficient (a
 Poly, num * w^-k) written to the left of the derivative monomial d^a (a
 multi-index over the momentum components).  This normal form is unique up to
 the value equality of Poly, so operators are equal iff their terms are.
-Composition moves derivatives past coefficients with the Leibniz rule.  A
-commutator leaves out the order-zero Leibniz terms c_a c_b d^(a+b) of both
+Composition moves the derivatives of d^a past c_b d^b one at a time, by
+d_i o (t d^e) = (d_i t) d^e + t d^(e + e_i), with no table of derivatives.
+A commutator leaves out the order-zero terms c_a c_b d^(a+b) of both
 products: coefficients commute, so those terms cancel.
 """
 
 from __future__ import annotations
-
-from itertools import product
-from math import comb
 
 from .poly import Coef, Poly, Ring
 
@@ -54,8 +52,7 @@ class Op:
             return NotImplemented
         out = dict(self.terms)
         for a, c in other.terms.items():
-            prev = out.get(a)
-            out[a] = c if prev is None else prev + c
+            _add(out, a, c)
         return Op(self.ring, out)
 
     def __neg__(self):
@@ -71,30 +68,13 @@ class Op:
         return Op(self.ring, {a: c * f for a, c in self.terms.items()})
 
     # ---- composition ---------------------------------------------------
-    def __matmul__(self, other: "Op", *, _skip0=False) -> "Op":
-        """self @ other; with _skip0 (for commutator) the k = 0 Leibniz
-        terms are left out."""
-        if self.ring != other.ring:
-            raise ValueError("operators over different rings")
-        out = {}
+    def __matmul__(self, other: "Op") -> "Op":
+        """self @ other: the order-zero products c_a c_b d^(a+b) and the
+        rest of the Leibniz rule."""
+        out = _leibniz(self, other)
         for b, cb in other.terms.items():
-            dk = _derivatives(cb)
             for a, ca in self.terms.items():
-                ks = product(*(range(ai + 1) for ai in a))
-                if _skip0:
-                    next(ks)  # k = 0 comes first
-                for k in ks:
-                    mult = 1
-                    for ai, ki in zip(a, k):
-                        mult *= comb(ai, ki)
-                    coef = ca * dk(k)
-                    if mult != 1:
-                        coef = coef * mult
-                    if coef.is_zero:
-                        continue
-                    e = tuple(ai - ki + bi for ai, ki, bi in zip(a, k, b))
-                    prev = out.get(e)
-                    out[e] = coef if prev is None else prev + coef
+                _add(out, tuple(ai + bi for ai, bi in zip(a, b)), ca * cb)
         return Op(self.ring, out)
 
     # ---- predicates -----------------------------------------------------
@@ -114,10 +94,13 @@ class Op:
     # ---- action on functions --------------------------------------------
     def apply(self, f: Poly) -> Poly:
         """Apply the operator to a scalar function."""
-        dk = _derivatives(f)
         out = Poly.zero(self.ring)
         for a, c in self.terms.items():
-            out = out + c * dk(a)
+            d = f
+            for i, ai in enumerate(a):
+                for _ in range(ai):
+                    d = d.diff(self.ring.momentum_index(i))
+            out = out + c * d
         return out
 
     def __repr__(self):
@@ -135,24 +118,43 @@ class Op:
         return " + ".join(parts)
 
 
-def _derivatives(c: Poly):
-    """Memoized mixed derivatives of c: dk(k) is d^k c for a multi-index k."""
-    ring = c.ring
-    cache = {(0,) * ring.nmom: c}
+def _add(terms: dict, e, c: Poly):
+    """terms[e] += c, for a map of derivative multi-indices to Polys."""
+    prev = terms.get(e)
+    terms[e] = c if prev is None else prev + c
 
-    def dk(k):
-        if k not in cache:
-            j = next(i for i, ki in enumerate(k) if ki)
-            prev = tuple(ki - (1 if i == j else 0) for i, ki in enumerate(k))
-            cache[k] = dk(prev).diff(ring.momentum_index(j))
-        return cache[k]
 
-    return dk
+def _leibniz(x: Op, y: Op) -> dict:
+    """The terms of x @ y without its order-zero products c_a c_b d^(a+b):
+    each d^a of x passes over c_b d^b of y one derivative at a time, and
+    the term that no derivative reached, c_b d^(a+b), is left out."""
+    if x.ring != y.ring:
+        raise ValueError("operators over different rings")
+    ring = x.ring
+    out = {}
+    for b, cb in y.terms.items():
+        for a, ca in x.terms.items():
+            terms = {b: cb}
+            for i, ai in enumerate(a):
+                sym = ring.momentum_index(i)
+                for _ in range(ai):
+                    step = {}
+                    for e, t in terms.items():
+                        d = t.diff(sym)
+                        if d:
+                            _add(step, e, d)
+                        _add(step, e[:i] + (e[i] + 1,) + e[i + 1:], t)
+                    terms = step
+            # cb d^(a+b) is the one term of the highest order
+            del terms[tuple(ai + bi for ai, bi in zip(a, b))]
+            for e, t in terms.items():
+                _add(out, e, ca * t)
+    return out
 
 
 def commutator(a: Op, b: Op) -> Op:
     """a @ b - b @ a, without the order-zero terms that cancel."""
-    return a.__matmul__(b, _skip0=True) - b.__matmul__(a, _skip0=True)
+    return Op(a.ring, _leibniz(a, b)) - Op(b.ring, _leibniz(b, a))
 
 
 # ---- builders of the physical operators -------------------------------
@@ -174,30 +176,14 @@ def deformed_position(ring: Ring, mu: int) -> Op:
 
     All coefficients stay polynomial; the inverse of w is never needed here.
     """
-    ring.momentum_index(mu)  # index range check
     h = Poly.symbol(ring, "h")
-    pmu = Poly.momentum(ring, mu)
-    terms = {}
-    nm = ring.nmom
-
-    def add(a, poly):
-        key = tuple(a)
-        prev = terms.get(key)
-        terms[key] = poly if prev is None else prev + poly
-
-    # (1 - beta s) x^mu  ->  -h g_mu w on d_mu
-    a = [0] * nm
-    a[mu] = 1
-    add(a, ring.w * h * (-ring.metric[mu]))
+    pmu = Poly.momentum(ring, mu)  # index range check
+    out = undeformed_position(ring, mu).scale(ring.w)
     # -betap p^mu p_nu x^nu = +betap h p^mu sum_nu p^nu d_nu
-    bp = ring.param("betap")
-    for nu in range(nm):
-        a = [0] * nm
-        a[nu] = 1
-        add(a, bp * h * pmu * Poly.momentum(ring, nu))
-    # + h gamma p^mu
-    add([0] * nm, h * ring.param("gamma") * pmu)
-    return Op(ring, terms)
+    bp = ring.param("betap") * h * pmu
+    for nu in range(ring.nmom):
+        out = out + Op.deriv(ring, nu).scale(bp * Poly.momentum(ring, nu))
+    return out + Op.mult(h * ring.param("gamma") * pmu)
 
 
 def lowered(builder, ring: Ring, mu: int) -> Op:

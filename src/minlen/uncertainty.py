@@ -160,12 +160,14 @@ def state_moments(grid: WavefunctionGrid, params: DOParams) -> StateMoments:
     if grid.params.beta_tilde * grid.params.omega_tilde < 2.0:
         p, w = _gauss(grid.params, level, level.n + 2)
         psi1, psi2, d1, d2 = _spinor(grid.params, level, p)
-        dens = psi1**2 + psi2**2
         # dens is cos^(2 lam - 2) u times cos^2 u = 1 - sin^2 u times a
-        # polynomial, so the same rule gives the exact norm
-        mass = float(np.sum(w * dens))
-        meansq_p = float(np.sum(w * p * p * dens)) / mass
-        meansq_x = float(np.sum(w * (d1**2 + d2**2))) / mass
+        # polynomial, so the same rule gives the exact norm; a moment out
+        # of double range is inf, with no numpy warning
+        with np.errstate(over="ignore"):
+            dens = psi1**2 + psi2**2
+            mass = float(np.sum(w * dens))
+            meansq_p = float(np.sum(w * p * p * dens)) / mass
+            meansq_x = float(np.sum(w * (d1**2 + d2**2))) / mass
     dP = math.sqrt(meansq_p)
     ms = MomentSet(
         D=1, mean_P=(0.0,), spread_P=(dP,), meansq_P0=level.p0_tilde**2

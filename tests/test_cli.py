@@ -411,6 +411,28 @@ def test_uncertainty_at_huge_omega(tmp_path):
     assert len(err) == 1 and err[0].startswith("check failed:")
 
 
+def test_uncertainty_names_the_first_failing_level(tmp_path):
+    # bt wt >= 2: dX and dP diverge and every slack is nan
+    code, err, report = run_extreme(tmp_path, [
+        "uncertainty", "--beta-tilde", "0.9", "--omega-tilde", "5",
+        "--n-max", "2",
+    ])
+    assert code == 1 and report["passed"] is False
+    assert len(err) == 1 and err[0].startswith("check failed: level 0 ")
+    assert "slack = nan" in err[0]
+
+
+def test_uncertainty_at_tiny_omega(tmp_path):
+    # level 0's moments overflow to inf, with no float warning; level 1
+    # underflows at every node: one line naming it
+    code, err, report = run_extreme(tmp_path, [
+        "uncertainty", "--beta-tilde", "0", "--omega-tilde", "1e-320",
+        "--n-max", "1",
+    ])
+    assert code == 1 and report is None
+    assert len(err) == 1 and err[0].startswith("check failed:")
+
+
 def test_limits_at_huge_omega(tmp_path):
     code, err, report = run_extreme(tmp_path, [
         "limits", "--beta-values", "0.5,0.05", "--omega-tilde", "1e300",

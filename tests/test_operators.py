@@ -76,10 +76,12 @@ def test_mixed_partials_commute():
     assert (d0 @ d1 @ f) == (d1 @ d0 @ f)
 
 
-@given(small_ops(), small_ops())
+@given(small_ops(max_wpow=2), small_ops(max_wpow=2))
 @settings(max_examples=30, deadline=None)
 def test_composition_matches_application(a, b):
-    """Normal-form soundness: (a o b)(f) == a(b(f)) on a generic function."""
+    """Normal-form soundness: (a o b)(f) == a(b(f)) on a generic function,
+    and the same for the commutator.  apply shares no code with the
+    composition."""
     ring = a.ring
     f = Coef(
         Poly.momentum(ring, 0) ** 2
@@ -87,9 +89,9 @@ def test_composition_matches_application(a, b):
         + 1,
         1,
     )
-    lhs = (a @ b).apply(f)
-    rhs = a.apply(b.apply(f))
-    assert lhs == rhs
+    af, bf = a.apply(b.apply(f)), b.apply(a.apply(f))
+    assert (a @ b).apply(f) == af
+    assert commutator(a, b).apply(f) == af - bf
 
 
 @given(small_ops(), small_ops(), small_ops())

@@ -1,6 +1,7 @@
 """Deformed uncertainty bounds, minimal lengths and state moments."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -241,6 +242,21 @@ def test_deformed_states_respect_bound(n):
         "level", "moments", "bound", "deltaX", "deltaP", "product", "slack",
     }
     assert rec["level"] == {"n": n, "tau": 1}
+
+
+@pytest.mark.parametrize("bt,wt", [(0.5, 2.0), (1 / 3, 3.0)])
+def test_states_at_unit_bt_wt(bt, wt):
+    """bt wt = 1 puts the Gauss index mu = lam - 1 at 0 (Chebyshev), where
+    the general recurrence coefficient is 0/0 at k = 1: no numpy warning,
+    finite moments and the bound holds."""
+    p = DOParams(bt, wt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for n in range(4):
+            wf = wavefunction(p, QuantumNumber(n, 1), GridSpec(2001))
+            rec = uncertainty_report(wf, p)
+            assert math.isfinite(rec["product"])
+            assert rec["slack"] >= -1e-10
 
 
 def test_report_momentum_mean_vanishes_by_parity():

@@ -219,13 +219,13 @@ def test_lorentz_generators_built_on_demand(monkeypatch):
 
 def test_transformations_poly_products_bounded():
     """Work-count guard: Poly products in one default D = 2 run, counted
-    with cProfile.  With the commutator's order-zero Leibniz terms the run
-    makes 2,777."""
+    with cProfile.  The run makes 1,673 when zero derivatives are
+    multiplied too, and 2,777 with the commutator's order-zero terms."""
     prof = cProfile.Profile()
     assert prof.runcall(verify_transformations, Spacetime(2)).passed
     code = Poly.__mul__.__code__
     key = (code.co_filename, code.co_firstlineno, code.co_name)
-    assert pstats.Stats(prof).stats[key][1] <= 1673
+    assert pstats.Stats(prof).stats[key][1] <= 1439
 
 
 def test_wrong_position_operator_leaves_lhat_residual(monkeypatch):
