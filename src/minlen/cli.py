@@ -231,8 +231,9 @@ def cmd_uncertainty(args):
             raise FloatingPointError(f"the grid cannot normalize level {n}")
         rec = uncertainty_report(wf, params)
         # rounding-scale tolerance on the inequality; a nan slack (bt wt
-        # >= 2, where dX and dP diverge) fails
-        if not rec["slack"] >= -1e-10:
+        # >= 2, where dX and dP diverge) fails, and so does an inf one (a
+        # moment that overflowed)
+        if not (rec["slack"] >= -1e-10 and math.isfinite(rec["slack"])):
             missed.append((n, rec["slack"]))
         records.append(rec)
     write_json(os.path.join(args.out_dir, "uncertainty.json"), records)

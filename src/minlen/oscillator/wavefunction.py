@@ -12,12 +12,15 @@ lam = 1/(bt wt) the states are exactly (Kempf, Mangano & Mann, PRD 52
          = 2 sqrt(c0/bt) cos^(lam+1)(u) C_(n-1)^(lam+1)(sin u)/(p0 + 1),
 
 with Gegenbauer polynomials C; for bt = 0 they are the Hermite functions
-of y = p/sqrt(wt).  `wavefunction` samples them on a uniform q grid.  The
-discretized B+ B- = -wt^2 d^2/dq^2 + p(q)^2 - wt f(p(q)) of
-`eigensolve_factorized` and the stencils of `fd_derivative` and
-`ladder_apply` do not produce the states: they are the independent
-finite-difference oracle, on one fixed ladder of three grids, that the
-tests and the benchmark compare against.
+of y = p/sqrt(wt).  `wavefunction` samples them on a uniform q grid,
+which is mirror-symmetric: psi1 has parity (-1)^n and psi2 (-1)^(n+1), so
+the closed form is evaluated on the non-negative half of the grid and
+mirrored onto the other.  The discretized
+B+ B- = -wt^2 d^2/dq^2 + p(q)^2 - wt f(p(q)) of `eigensolve_factorized`
+and the stencils of `fd_derivative` and `ladder_apply` do not produce
+the states: they are the independent finite-difference oracle, on one
+fixed ladder of three grids, that the tests and the benchmark compare
+against.
 """
 
 from __future__ import annotations
@@ -82,12 +85,29 @@ def _box_halfwidth(omega_tilde: float, n: int) -> float:
     return math.sqrt(omega_tilde) * (math.sqrt(2.0 * n + 1.0) + 9.0)
 
 
+def _mirror(half, npts: int, parity: int):
+    """The npts values on a mirror-symmetric grid of a function of the
+    given parity (+1 or -1) under q -> -q, from its values `half` on the
+    non-negative nodes q[npts//2:].  The odd mirror is 0.0 - x, so that a
+    mirrored zero is +0.0."""
+    out = np.empty(npts, dtype=half.dtype)
+    m = npts // 2
+    out[m:] = half
+    lower = half[npts % 2:][::-1]
+    if parity > 0:
+        out[:m] = lower
+    else:
+        np.subtract(0.0, lower, out=out[:m])
+    return out
+
+
 def flat_grid(params: DOParams, p0_tilde: float, npts: int, n: int = 8):
     """Interior nodes of the flat coordinate; returns (q, p, f, dq, c0).
 
-    The nodes are mirror-symmetric to the last bit (q = -q[::-1], and the
-    centre node of an odd grid is exactly 0).  For bt = 0 the box holds
-    the levels up to n.
+    The nodes are mirror-symmetric to the last bit by construction: q =
+    -q[::-1], the centre node of an odd grid is exactly 0, and p (odd) and
+    f (even) are computed on the non-negative half and mirrored.  For
+    bt = 0 the box holds the levels up to n.
     """
     bt = params.beta_tilde
     c0 = 1.0 - bt * p0_tilde**2
@@ -101,8 +121,11 @@ def flat_grid(params: DOParams, p0_tilde: float, npts: int, n: int = 8):
         q_max = _box_halfwidth(params.omega_tilde, n)
     dq = 2.0 * q_max / (npts + 1)
     q = dq * (np.arange(npts) - 0.5 * (npts - 1))
-    p = math.sqrt(c0 / bt) * np.tan(r * q) if bt > 0 else q.copy()
-    f = c0 + bt * p * p
+    half = q[npts // 2:]
+    if bt > 0:
+        half = math.sqrt(c0 / bt) * np.tan(r * half)
+    p = _mirror(half, npts, -1)
+    f = _mirror(c0 + bt * half * half, npts, 1)
     return q, p, f, dq, c0
 
 
@@ -253,8 +276,8 @@ def _recurrence(x, g0, mu, k: int):
 
 
 def _family(x, g0, mu, k: int):
-    """g_k of `_recurrence`; zero for k < 0."""
-    return deque(_recurrence(x, g0, mu, k), maxlen=1)[0] if k >= 0 else 0 * g0
+    """g_k of `_recurrence`."""
+    return deque(_recurrence(x, g0, mu, k), maxlen=1)[0]
 
 
 def _spinor(params: DOParams, level: SpectrumLevel, p):
@@ -276,7 +299,7 @@ def _spinor(params: DOParams, level: SpectrumLevel, p):
         tan = p * math.sqrt(bt / c0)
         x, log_cos = tan / np.sqrt(1.0 + tan * tan), -0.5 * np.log1p(tan**2)
 
-        def term(j, k):
+        def family(j, k):
             return _family(x, np.exp((lam + j) * log_cos), lam + j, k)
 
         def lower(j, k):
@@ -291,7 +314,7 @@ def _spinor(params: DOParams, level: SpectrumLevel, p):
         x = p / math.sqrt(wt)
         envelope = np.exp(-0.5 * x * x)
 
-        def term(j, k):
+        def family(j, k):
             return _family(x, envelope, None, k)
 
         def lower(j, k):
@@ -299,6 +322,10 @@ def _spinor(params: DOParams, level: SpectrumLevel, p):
 
         def drift(j):
             return x / math.sqrt(wt)
+
+    def term(j, k):
+        # degree k < 0 is the zero polynomial: skip its envelope
+        return family(j, k) if k >= 0 else np.zeros_like(x)
 
     sign = (-1) ** (n // 2)
     psi1, t1 = sign * term(0, n), term(1, n - 1)
@@ -414,20 +441,34 @@ def _sampled(params: DOParams, level: SpectrumLevel, npts: int):
         raise DiagnosticModeError()
     p0, wt = level.p0_tilde, params.omega_tilde
     q, p, f, dq, _ = flat_grid(params, p0, npts, level.n)
+    # psi1 has parity (-1)^n and psi2 (-1)^(n+1): evaluate on the
+    # non-negative half of the grid and mirror.  Squares are even; summing
+    # them mirrored to full length keeps np.sum's pairwise order, so every
+    # sum is the bit-exact full-grid one
+    half = p[npts // 2:]
+    parity = (-1) ** level.n
+
+    def mirrored_sum(squares):
+        return float(np.sum(_mirror(squares, npts, 1)))
+
     # a state out of double range (extreme bt wt, where lam = 1/(bt wt) or
     # the recurrence overflows) samples as inf or nan, and the residuals and
     # the quadrature error below report it: numpy's warnings would add noise
     with np.errstate(all="ignore"):
-        psi1, psi2, d1, d2 = _spinor(params, level, p)
-        raw = float(np.sum(psi1**2 + psi2**2) * dq)
+        psi1, psi2, d1, d2 = _spinor(params, level, half)
+        raw = mirrored_sum(psi1**2 + psi2**2) * dq
         # a state that vanishes at every node stays unnormalized
         scale = 1.0 / math.sqrt(raw) if raw > 0 else 1.0
-        res2 = p * psi1 + wt * d1 - (p0 + 1.0) * psi2
-        res1 = p * psi2 - wt * d2 - (p0 - 1.0) * psi1
-        wf = WavefunctionGrid(params, level, q, p, scale * psi1, scale * psi2,
+        res2 = half * psi1 + wt * d1 - (p0 + 1.0) * psi2
+        res1 = half * psi2 - wt * d2 - (p0 - 1.0) * psi1
+        wf = WavefunctionGrid(params, level, q, p,
+                              _mirror(scale * psi1, npts, parity),
+                              _mirror(scale * psi2, npts, -parity),
                               f, dq, scale)
-        wf.metadata["residual_coupled_1"] = scale * _l2norm(res1, dq)
-        wf.metadata["residual_coupled_2"] = scale * _l2norm(res2, dq)
+        wf.metadata["residual_coupled_1"] = scale * math.sqrt(
+            mirrored_sum(res1**2) * dq)
+        wf.metadata["residual_coupled_2"] = scale * math.sqrt(
+            mirrored_sum(res2**2) * dq)
     # an exact norm that under- or overflows (extreme wt) fails the check
     exact = _norm_integral(params, level)
     err = abs(raw / exact - 1.0) if 0 < exact < math.inf else math.inf

@@ -433,6 +433,20 @@ def test_uncertainty_at_tiny_omega(tmp_path):
     assert len(err) == 1 and err[0].startswith("check failed:")
 
 
+def test_uncertainty_overflowing_moment_fails(tmp_path):
+    # level 0 alone: dX overflows to inf, and an inf slack is a miss, not
+    # a pass
+    code, err, report = run_extreme(tmp_path, [
+        "uncertainty", "--beta-tilde", "0", "--omega-tilde", "1e-320",
+        "--n-max", "0",
+    ])
+    assert code == 1 and report["passed"] is False
+    assert len(err) == 1 and err[0].startswith("check failed: level 0 ")
+    assert "slack = inf" in err[0]
+    records = json.loads(read(str(tmp_path / "out" / "uncertainty.json")))
+    assert records[0]["slack"] is None
+
+
 def test_limits_at_huge_omega(tmp_path):
     code, err, report = run_extreme(tmp_path, [
         "limits", "--beta-values", "0.5,0.05", "--omega-tilde", "1e300",

@@ -1,10 +1,13 @@
 """Eigensolver oracle, ladder structure, spinor states and inner products."""
 
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import minlen.oscillator.wavefunction as wavefunction_module
 from minlen.oscillator.spectrum import (
     AcceptabilityError,
     DOParams,
@@ -229,9 +232,9 @@ PARITY_LEVELS = [(n, 1) for n in range(7)] + [(n, -1) for n in range(1, 7)]
 @pytest.mark.parametrize("size", [2001, 32001])
 @pytest.mark.parametrize("bt", [0.0, 0.1, 0.5])
 def test_state_parity(bt, size):
-    """psi1 has parity (-1)^n and psi2 parity (-1)^(n+1) under q -> -q, so
-    every overlap between states of opposite parity vanishes to within the
-    inner product's own error estimate."""
+    """psi1 has parity (-1)^n and psi2 parity (-1)^(n+1) under q -> -q,
+    exactly, so every overlap between states of opposite parity vanishes to
+    within the inner product's own error estimate."""
     p = DOParams(bt, 1.0)
     states = {
         (n, tau): wavefunction(p, QuantumNumber(n, tau), GridSpec(size))
@@ -239,9 +242,8 @@ def test_state_parity(bt, size):
     }
     for (n, tau), wf in states.items():
         sign = (-1) ** n
-        scale = max(np.max(np.abs(wf.psi1)), np.max(np.abs(wf.psi2)))
-        assert np.max(np.abs(wf.psi1[::-1] - sign * wf.psi1)) <= 1e-11 * scale
-        assert np.max(np.abs(wf.psi2[::-1] + sign * wf.psi2)) <= 1e-11 * scale
+        assert np.array_equal(wf.psi1[::-1], sign * wf.psi1)
+        assert np.array_equal(wf.psi2[::-1], -sign * wf.psi2)
     for (na, ta), a in states.items():
         for (nb, tb), b in states.items():
             if (na + nb) % 2 == 1 and (na, ta) < (nb, tb):
@@ -249,6 +251,80 @@ def test_state_parity(bt, size):
                     a, b, QuantumNumber(na, ta), with_error=True
                 )
                 assert abs(val) <= err, ((na, ta), (nb, tb), abs(val), err)
+
+
+def assert_mirror_is_direct(wf, bits: bool):
+    """wf's psi1 and psi2, evaluated on the non-negative half of the grid
+    and mirrored, equal amplitude times the closed form evaluated at every
+    node.  With bits=False an exact zero may differ in sign: in the tails
+    that underflow at small bt wt, an odd recurrence evaluated directly at
+    negative nodes gives -0.0 where the mirror gives +0.0."""
+    direct = _spinor(wf.params, wf.level, wf.p)[:2]
+    for sampled, exact in zip((wf.psi1, wf.psi2), direct):
+        exact = wf.amplitude * exact
+        assert np.array_equal(sampled, exact, equal_nan=True)
+        differ = sampled.view(np.uint64) != exact.view(np.uint64)
+        if bits:
+            assert not differ.any()
+        else:
+            assert np.all((sampled[differ] == 0) | np.isnan(sampled[differ]))
+
+
+ALL_LEVELS = [(0, 1)] + [(n, tau) for n in range(1, 11) for tau in (1, -1)]
+
+
+@pytest.mark.parametrize("size", [64, 65, 2000, 2001])
+@pytest.mark.parametrize("bt,wt", [(0.0, 1.0), (0.0, 0.3), (0.005, 1.0),
+                                   (0.01, 0.2)])
+def test_mirror_equals_direct_evaluation(bt, wt, size):
+    """At bt = 0 and at small bt wt, where the tails underflow."""
+    p = DOParams(bt, wt)
+    for n, tau in ALL_LEVELS:
+        wf = wavefunction(p, QuantumNumber(n, tau), GridSpec(size))
+        assert_mirror_is_direct(wf, bits=False)
+
+
+def perfbench_range_pairs():
+    """Three seeded draws from the range perfbench samples."""
+    rng = random.Random(17)
+    return [(rng.uniform(0.01, 0.9), rng.uniform(0.2, 2.0)) for _ in range(3)]
+
+
+@pytest.mark.parametrize("size", [2000, 2001, 32001])
+@pytest.mark.parametrize("bt,wt", [(0.5, 1.0), (0.0, 1.0)]
+                         + perfbench_range_pairs())
+def test_mirror_is_direct_evaluation_to_the_bit(bt, wt, size):
+    """At the golden parameters and over a sample of bt in [0.01, 0.9],
+    wt in [0.2, 2], zero signs included."""
+    p = DOParams(bt, wt)
+    for n, tau in ALL_LEVELS:
+        wf = wavefunction(p, QuantumNumber(n, tau), GridSpec(size))
+        assert_mirror_is_direct(wf, bits=True)
+
+
+@given(st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=0.99)),
+       st.floats(min_value=0.05, max_value=5.0),
+       st.sampled_from(ALL_LEVELS),
+       st.sampled_from([64, 65, 2000, 2001]))
+@settings(max_examples=100, deadline=None)
+def test_mirror_equals_direct_over_the_range(bt, wt, level, size):
+    wf = wavefunction(DOParams(bt, wt), QuantumNumber(*level), GridSpec(size))
+    assert_mirror_is_direct(wf, bits=False)
+
+
+@pytest.mark.parametrize("size", [2000, 2001])
+def test_sampled_evaluates_half_the_grid(monkeypatch, size):
+    """Work-count guard: the closed form is evaluated once, on the
+    ceil(N/2) non-negative nodes, and the other half is filled by parity."""
+    nodes = []
+
+    def counting(params, level, p):
+        nodes.append(p.size)
+        return _spinor(params, level, p)
+
+    monkeypatch.setattr(wavefunction_module, "_spinor", counting)
+    wavefunction(DOParams(0.5, 1.0), QuantumNumber(3, 1), GridSpec(size))
+    assert nodes == [(size + 1) // 2]
 
 
 def test_lowest_negative_branch_matches_mirror():
