@@ -114,20 +114,13 @@ def _write_table(args, stem: str, header, columns):
         write_json(path + ".json", Table(header, columns))
 
 
-def _oscillator(beta_tilde, omega_tilde, diagnostic=False) -> DOParams:
-    """DOParams whose invalid values are usage errors (beta_tilde >= 1
-    outside diagnostic mode stays a check failure)."""
+def _usage(build, *args, **kwargs):
+    """build(*args, **kwargs), whose ValueError is a usage error (beta_tilde
+    >= 1 outside diagnostic mode stays a check failure)."""
     try:
-        return DOParams(beta_tilde, omega_tilde, diagnostic=diagnostic)
+        return build(*args, **kwargs)
     except UnphysicalDeformationError:
         raise
-    except ValueError as exc:
-        raise UsageError(str(exc))
-
-
-def _grid(args) -> GridSpec:
-    try:
-        return GridSpec(args.grid_size)
     except ValueError as exc:
         raise UsageError(str(exc))
 
@@ -165,7 +158,8 @@ def cmd_verify_algebra(args):
 
 
 def cmd_spectrum(args):
-    params = _oscillator(args.beta_tilde, args.omega_tilde, args.diagnostic)
+    params = _usage(DOParams, args.beta_tilde, args.omega_tilde,
+                    diagnostic=args.diagnostic)
     table = spectrum_table(params, args.n_max)
     _write_table(args, "spectrum", table.COLUMNS, table.columns())
     flagged = table.unphysical_decrease
@@ -181,12 +175,9 @@ def cmd_spectrum(args):
 
 
 def cmd_wavefunction(args):
-    params = _oscillator(args.beta_tilde, args.omega_tilde)
-    try:
-        qn = QuantumNumber(args.n, args.tau)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    grid = _grid(args)
+    params = _usage(DOParams, args.beta_tilde, args.omega_tilde)
+    qn = _usage(QuantumNumber, args.n, args.tau)
+    grid = _usage(GridSpec, args.grid_size)
     wf = wavefunction(params, qn, grid)
     stem = f"wavefunction_n{qn.n}_tau{'p' if qn.tau > 0 else 'm'}"
     header = ["p_tilde", "q", "psi1", "psi2", "f", "weight"]
@@ -220,8 +211,8 @@ def cmd_wavefunction(args):
 
 
 def cmd_uncertainty(args):
-    params = _oscillator(args.beta_tilde, args.omega_tilde)
-    grid = _grid(args)
+    params = _usage(DOParams, args.beta_tilde, args.omega_tilde)
+    grid = _usage(GridSpec, args.grid_size)
     records = []
     missed = []
     for n in range(args.n_max + 1):
@@ -258,7 +249,7 @@ def cmd_limits(args):
         raise UsageError("beta-values must be a comma-separated float list")
     if not betas:
         raise UsageError("beta-values is empty")
-    all_params = [_oscillator(bt, args.omega_tilde) for bt in betas]
+    all_params = [_usage(DOParams, bt, args.omega_tilde) for bt in betas]
     wt = all_params[0].omega_tilde
     devs = []
     ratios = []

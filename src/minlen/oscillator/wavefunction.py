@@ -101,6 +101,15 @@ def _mirror(half, npts: int, parity: int):
     return out
 
 
+def _measure_offset(bt: float, p0_tilde: float) -> float:
+    """c0 = 1 - bt p0^2, the measure factor f = c0 + bt p^2 at p = 0."""
+    c0 = 1.0 - bt * p0_tilde**2
+    if c0 <= 0:
+        raise AcceptabilityError(f"1 - beta_tilde p0^2 = {c0} <= 0: "
+                                 "measure is singular")
+    return c0
+
+
 def flat_grid(params: DOParams, p0_tilde: float, npts: int, n: int = 8):
     """Interior nodes of the flat coordinate; returns (q, p, f, dq, c0).
 
@@ -110,11 +119,8 @@ def flat_grid(params: DOParams, p0_tilde: float, npts: int, n: int = 8):
     bt = 0 the box holds the levels up to n.
     """
     bt = params.beta_tilde
-    c0 = 1.0 - bt * p0_tilde**2
+    c0 = _measure_offset(bt, p0_tilde)
     if bt > 0:
-        if c0 <= 0:
-            raise AcceptabilityError(f"1 - beta_tilde p0^2 = {c0} <= 0: "
-                                     "measure is singular")
         r = math.sqrt(bt * c0)
         q_max = 0.5 * math.pi / r
     else:
@@ -506,7 +512,9 @@ def inner_product(a: WavefunctionGrid, b: WavefunctionGrid,
     The weight is the measure factor of the designated level, which is an
     explicit argument because the energy-dependent measure makes the choice
     ambiguous between different levels.  Summed on a's nodes, where b is
-    evaluated exactly from its closed form.
+    evaluated exactly from its closed form on the non-negative half and
+    mirrored by parity, as `_sampled` does.  Raises AcceptabilityError
+    when the weight's 1 - bt p0^2 rounds to <= 0, as `flat_grid` does.
 
     With with_error=True returns (value, err): err is the larger of the
     quadrature error (Richardson estimate from the every-other-node sum)
@@ -514,10 +522,11 @@ def inner_product(a: WavefunctionGrid, b: WavefunctionGrid,
     """
     if a.params != b.params:
         raise ValueError("incompatible grids: different oscillator parameters")
-    bt = a.params.beta_tilde
-    p0w = p0_allowed(a.params, weight_level)
-    fw = 1.0 - bt * p0w**2 + bt * a.p**2
-    b1, b2, _, _ = _spinor(b.params, b.level, a.p)
+    bt, npts = a.params.beta_tilde, a.p.size
+    fw = _measure_offset(bt, p0_allowed(a.params, weight_level)) + bt * a.p**2
+    b1, b2, _, _ = _spinor(b.params, b.level, a.p[npts // 2:])
+    parity = (-1) ** b.level.n
+    b1, b2 = _mirror(b1, npts, parity), _mirror(b2, npts, -parity)
     integrand = (np.conj(a.psi1) * b1 + np.conj(a.psi2) * b2) * (
         b.amplitude * a.f / fw
     )

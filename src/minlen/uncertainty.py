@@ -151,15 +151,18 @@ def state_moments(grid: WavefunctionGrid, params: DOParams) -> StateMoments:
     <P^2> and <X^2> are cos^(2 lam - 2)(u) times a polynomial of degree
     2n + 2 in sin u, so the (n + 2)-point Gauss rule of the closed form is
     exact; for lam = 1/(bt wt) <= 1/2 both diverge, and dP, dX are inf.
+    params must be the grid's own.
     """
+    if params != grid.params:
+        raise ValueError("grid and params: different oscillator parameters")
     norm = grid.norm_squared()
     if not abs(norm - 1.0) <= 1e-8:  # a NaN norm fails too
         raise ValueError(f"grid not normalized (norm^2 = {norm})")
     level = grid.level
     meansq_p = meansq_x = math.inf
-    if grid.params.beta_tilde * grid.params.omega_tilde < 2.0:
-        p, w = _gauss(grid.params, level, level.n + 2)
-        psi1, psi2, d1, d2 = _spinor(grid.params, level, p)
+    if params.beta_tilde * params.omega_tilde < 2.0:
+        p, w = _gauss(params, level, level.n + 2)
+        psi1, psi2, d1, d2 = _spinor(params, level, p)
         # dens is cos^(2 lam - 2) u times cos^2 u = 1 - sin^2 u times a
         # polynomial, so the same rule gives the exact norm; a moment out
         # of double range is inf, with no numpy warning

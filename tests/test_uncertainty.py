@@ -231,6 +231,20 @@ def test_state_moments_requires_normalization():
         uncertainty_report(g, p)
 
 
+def test_report_requires_the_grids_own_parameters():
+    """The bound takes bt from params and the moments come from the grid:
+    other parameters would mix two oscillators (slack 0.062 instead of
+    0.335 here), so they are refused."""
+    p = DOParams(0.5, 1.0)
+    wf = wavefunction(p, QuantumNumber(2, 1), GridSpec(2001))
+    other = DOParams(0.1, 1.0)
+    with pytest.raises(ValueError, match="different oscillator parameters"):
+        uncertainty_report(wf, other)
+    with pytest.raises(ValueError, match="different oscillator parameters"):
+        state_moments(wf, other)
+    assert uncertainty_report(wf, p)["slack"] > 0.3
+
+
 @pytest.mark.parametrize("n", [0, 1, 3])
 def test_deformed_states_respect_bound(n):
     p = DOParams(0.5, 1.0)

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import minlen.oscillator.wavefunction as wavefunction_module
 from minlen.oscillator.spectrum import (
@@ -323,8 +323,48 @@ def test_sampled_evaluates_half_the_grid(monkeypatch, size):
         return _spinor(params, level, p)
 
     monkeypatch.setattr(wavefunction_module, "_spinor", counting)
-    wavefunction(DOParams(0.5, 1.0), QuantumNumber(3, 1), GridSpec(size))
+    wf = wavefunction(DOParams(0.5, 1.0), QuantumNumber(3, 1), GridSpec(size))
     assert nodes == [(size + 1) // 2]
+    inner_product(wf, wf, QuantumNumber(3, 1))
+    assert nodes == [(size + 1) // 2] * 2
+
+
+def inner_product_direct(a, b, weight_level):
+    """`inner_product(..., with_error=True)` with b's closed form evaluated
+    at every one of a's nodes, the reference for the mirrored one."""
+    bt = a.params.beta_tilde
+    p0w = p0_allowed(a.params, weight_level)
+    fw = 1.0 - bt * p0w**2 + bt * a.p**2
+    b1, b2, _, _ = _spinor(b.params, b.level, a.p)
+    integrand = (np.conj(a.psi1) * b1 + np.conj(a.psi2) * b2) * (
+        b.amplitude * a.f / fw
+    )
+    val = complex(np.sum(integrand) * a.dq)
+    coarse = complex(np.sum(integrand[::2]) * 2 * a.dq)
+    mass = float(np.sum(np.abs(integrand)) * a.dq)
+    return val, max(abs(val - coarse) / 3.0, 1e-14 * mass)
+
+
+@given(st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=0.01),
+                 st.floats(min_value=1e-6, max_value=0.99)),
+       st.floats(min_value=0.05, max_value=5.0),
+       st.sampled_from(ALL_LEVELS),
+       st.sampled_from(ALL_LEVELS),
+       st.sampled_from([(0, 1), (1, 1), (3, 1)]),
+       st.sampled_from([64, 65, 2000, 2001]))
+@example(0.0, 1.0, (2, 1), (4, 1), (0, 1), 2001)
+@example(0.0015, 1.0, (3, 1), (5, -1), (1, 1), 2000)
+@settings(max_examples=100, deadline=None)
+def test_inner_product_mirror_equals_direct(bt, wt, la, lb, lw, size):
+    """Value and error equal the full-grid evaluation's: the mirrored and
+    the direct integrands differ at most in the signs of zeros (bt = 0 and
+    small bt wt, where the tails underflow), which == does not tell
+    apart."""
+    p = DOParams(bt, wt)
+    a, b = (wavefunction(p, QuantumNumber(*lv), GridSpec(size))
+            for lv in (la, lb))
+    got = inner_product(a, b, QuantumNumber(*lw), with_error=True)
+    assert got == inner_product_direct(a, b, QuantumNumber(*lw))
 
 
 def test_lowest_negative_branch_matches_mirror():
@@ -365,6 +405,17 @@ def test_inner_product_requires_same_oscillator():
     b = wavefunction(DOParams(0.4, 1.0), QuantumNumber(0, 1), GRID)
     with pytest.raises(ValueError):
         inner_product(a, b, QuantumNumber(0, 1))
+
+
+def test_inner_product_rejects_a_singular_weight():
+    """At bt wt = 5e9 the (1, +) level's 1 - bt p0^2 rounds to <= 0, so its
+    measure factor is non-positive near p = 0: an error, as in
+    `flat_grid`, not a value.  The (0, +) weight still normalizes."""
+    a = wavefunction(DOParams(0.5, 1e10), QuantumNumber(0, 1), GRID)
+    with pytest.raises(AcceptabilityError, match="measure is singular"):
+        inner_product(a, a, QuantumNumber(1, 1))
+    val, err = inner_product(a, a, QuantumNumber(0, 1), with_error=True)
+    assert abs(val - 1.0) <= err
 
 
 def test_inner_product_conjugate_symmetric():
