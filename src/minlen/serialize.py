@@ -12,15 +12,20 @@ Tables (`Table`, `write_csv`) are given as columns and rendered in numpy,
 `CHUNK_ROWS` rows at a time.  Each cell is a `SLOT`-byte slot padded with
 NUL bytes; the constant bytes (commas and newlines, or the JSON keys and
 braces) are laid around the slots, and the padding is stripped.  A float
-cell is built by `_float_cells` from its 17-digit integer, computed in
-double-double arithmetic; a cell it cannot certify (zeros, subnormals,
-non-finite values, a digit string within 1e-9 of a rounding tie, or a
-decimal exponent estimate that missed) is `FLOAT_FORMAT % v` in the same
-slot, so the scalar format is the reference.  An integer cell is `%d`.
-`write_csv` writes the chunks in turn and `_emit` extends its output with
-them, so no full-size copy of a table's text is made.  Any other column
-type (bool, object, strings), or a value with no JSON spelling (complex,
-object), is a TypeError; other reals are written as floats.
+cell's magnitude is built by `_magnitude_cells` from its 17-digit integer,
+computed in double-double arithmetic; `_signed_cells` then adds the sign
+byte, and a cell the kernel cannot certify (zeros, subnormals, non-finite
+values, a digit string within 1e-9 of a rounding tie, or a decimal
+exponent estimate that missed) is `FLOAT_FORMAT % v` of its own value in
+the same slot, so the scalar format is the reference.  An integer cell is
+`%d`.  When the magnitudes of every float column read the same backwards,
+as the columns of an oscillator state do, row n-1-i reuses the magnitude
+cells of row i: the chunks of the lower half and the centre row are
+written first, and the upper half, held as text (at most half the table),
+follows in order.  `write_csv` writes the chunks as they come; `write_json`
+collects the pieces of the whole document before writing.  Any other
+column type (bool, object, strings), or a value with no JSON spelling
+(complex, object), is a TypeError; other reals are written as floats.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ def fmt_float(x: float) -> str:
 
 @functools.cache
 def _tables():
-    """The lookup tables of `_float_cells`, built on first use: "0000" to
+    """The lookup tables of `_magnitude_cells`, built on first use: "0000" to
     "9999" as four ASCII digits in one uint32 each, then (H, L, b) arrays
     with 10^k = (H + L)·2^b, H in [1/2, 1] and H + L exact to about
     2^-106, for k = _K0.._K1."""
@@ -81,46 +86,50 @@ def _slots(texts) -> np.ndarray:
     return np.array(texts, dtype=f"S{SLOT}").view(np.uint8).reshape(-1, SLOT)
 
 
-def _float_cells(x: np.ndarray, null_nonfinite: bool) -> np.ndarray:
-    """`FLOAT_FORMAT % v` of each float64 v, as rows of SLOT bytes.
+def _magnitude_cells(a: np.ndarray):
+    """`FLOAT_FORMAT % v` of each float64 magnitude a = |v| as rows of SLOT
+    bytes, less the sign byte that `_signed_cells` sets, and whether each
+    cell is certified.
 
-    |v| = m·2^e is scaled by 10^k, k = 16 - floor(log10|v|), as
+    a = m·2^e is scaled by 10^k, k = 16 - floor(log10 a), as
     m·(H + L)·2^(b+e): m·H exactly by Dekker's product, plus m·L.  The
     rounded result N is the 17-digit integer of the cell, to about 1e-14.
-    A cell is certified when v is normal, the fraction rounded off is not
+    A cell is certified when a is normal, the fraction rounded off is not
     within 1e-9 of 1/2, the scaled value before rounding is at least
     10^16 and N < 10^17 (a wrong log10 estimate or a carry into the next
-    power of ten leaves that range); every other cell is formatted by
-    `FLOAT_FORMAT` (or is null for JSON).  The doubles nearest the lower
-    end are those nearest a power of ten, and the tests check them all.
+    power of ten leaves that range); `_signed_cells` formats every other
+    cell alone.  The doubles nearest the lower end are those nearest a
+    power of ten, and the tests check them all.  Both results depend on a
+    alone, so equal magnitudes give equal cells.
     """
-    a = np.abs(x)
     normal = (a >= sys.float_info.min) & (a <= sys.float_info.max)
     a = np.where(normal, a, 1.0)
     e10 = np.floor(np.log10(a)).astype(np.int64)
     m, e = np.frexp(a)
     digits4, h, l, b = _tables()
-    i = np.clip(16 - e10 - _K0, 0, _K1 - _K0)
-    H, s = h[i], b[i] + e
+    i = 16 - e10 - _K0
+    H = h.take(i, mode="clip")
+    s = b.take(i, mode="clip") + e
     p = m * H
     mh, Hh = _split(m), _split(H)
     ml, Hl = m - mh, H - Hh
     err = ((mh * Hh - p) + mh * Hl + ml * Hh) + ml * Hl
     big = np.ldexp(p, s)
     whole = np.rint(big)
-    frac = (big - whole) + np.ldexp(err + m * l[i], s)
+    frac = (big - whole) + np.ldexp(err + m * l.take(i, mode="clip"), s)
     carry = np.rint(frac)
     n = whole.astype(np.int64) + carry.astype(np.int64)
     sure = (normal & (np.abs(frac - carry) < 0.5 - 1e-9)
             & ((whole - 1e16) + frac >= 0) & (n < 10**17))
 
-    lead, rest = np.divmod(n, 10**16)
-    high, low = np.divmod(rest, 10**8)
-    quads = np.stack([high // 10**4, high % 10**4, low // 10**4, low % 10**4],
-                     axis=1)
+    # the digits of N: lead, then four groups of four
+    top = n // 10**8
+    lead = top // 10**8
+    high, low = top - lead * 10**8, n - top * 10**8
+    hh, lh = high // 10**4, low // 10**4
+    quads = np.stack([hh, high - hh * 10**4, lh, low - lh * 10**4], axis=1)
     exp = digits4[np.abs(e10)].view(np.uint8).reshape(-1, 4)
-    cells = np.empty((len(x), SLOT), np.uint8)
-    cells[:, 0] = np.where(x < 0, ord("-"), 0)
+    cells = np.empty((len(a), SLOT), np.uint8)
     cells[:, 1] = lead + ord("0")
     cells[:, 2] = ord(".")
     cells[:, 3:19] = digits4[quads].view(np.uint8)
@@ -129,13 +138,19 @@ def _float_cells(x: np.ndarray, null_nonfinite: bool) -> np.ndarray:
     # %e prints at least two exponent digits
     cells[:, 21] = np.where(exp[:, 1] == ord("0"), 0, exp[:, 1])
     cells[:, 22:24] = exp[:, 2:4]
+    return cells, sure
 
+
+def _signed_cells(cells, x, sure, null_nonfinite: bool):
+    """Complete the magnitude cells of the float64 values x in place: the
+    sign byte of each certified cell from its own value, and every other
+    cell `FLOAT_FORMAT % v` of its own v (or null for JSON)."""
+    cells[:, 0] = np.where(x < 0, ord("-"), 0)
     alone = np.flatnonzero(~sure)
     if alone.size:
         cells[alone] = _slots([
             "null" if null_nonfinite and not isfinite(v) else FLOAT_FORMAT % v
             for v in x[alone].tolist()])
-    return cells
 
 
 class Table:
@@ -155,8 +170,8 @@ class Table:
                 raise TypeError(f"cannot write a table column of {c.dtype}")
 
     def chunks(self, for_json: bool):
-        """The rows as text, CHUNK_ROWS rows a chunk: CSV lines, or the
-        JSON list of row objects."""
+        """The rows as text, up to CHUNK_ROWS rows a piece: CSV lines, or
+        the JSON list of row objects."""
         ncols = len(self.header)
         if for_json:
             before = [", {"] + [", "] * (ncols - 1)
@@ -172,22 +187,53 @@ class Table:
             template += bytes(SLOT)
         template = np.frombuffer(template + after.encode(), np.uint8)
 
-        nrows = len(self.columns[0]) if self.columns else 0
+        # one float64 view (or cast) of each float column for the table
+        columns = [np.asarray(c, np.float64) if c.dtype.kind == "f" else c
+                   for c in self.columns]
+        nrows = len(columns[0]) if columns else 0
+        # When every float column reads the same backwards in magnitude (the
+        # states of the Dirac oscillator have definite parity), the
+        # magnitude cells of row i < nrows // 2 also serve row nrows-1-i:
+        # the lower half and the centre row are rendered first, and the
+        # upper half waits as text until they are out.
+        magnitudes = (np.abs(c) for c in columns if c.dtype.kind == "f")
+        mirrored = all(np.array_equal(a, a[::-1], equal_nan=True)
+                       for a in magnitudes)
+        lower = (nrows + 1) // 2 if mirrored else nrows
+
+        def render(lo, hi, mags):
+            """Rows lo..hi as text, from the magnitude cells and certainty
+            of each float column (None for an integer column)."""
+            rows = np.empty((hi - lo, template.size), np.uint8)
+            rows[:] = template
+            for off, col, mag in zip(offsets, columns, mags):
+                cells = rows[:, off:off + SLOT]
+                if mag is None:
+                    cells[:] = _slots(["%d" % v for v in col[lo:hi].tolist()])
+                else:
+                    cells[:] = mag[0]
+                    _signed_cells(cells, col[lo:hi], mag[1], for_json)
+            return rows.tobytes().translate(None, b"\0").decode("ascii")
+
+        upper = []
         if for_json:
             yield "["
-        for start in range(0, nrows, CHUNK_ROWS):
-            part = [c[start:start + CHUNK_ROWS] for c in self.columns]
-            rows = np.empty((len(part[0]), template.size), np.uint8)
-            rows[:] = template
-            for off, col in zip(offsets, part):
-                if col.dtype.kind == "f":
-                    cells = _float_cells(col.astype(np.float64), for_json)
-                else:
-                    cells = _slots(["%d" % v for v in col.tolist()])
-                rows[:, off:off + SLOT] = cells
-            text = rows.tobytes().translate(None, b"\0").decode("ascii")
+        for start in range(0, lower, CHUNK_ROWS):
+            stop = min(start + CHUNK_ROWS, lower)
+            mags = [_magnitude_cells(np.abs(c[start:stop]))
+                    if c.dtype.kind == "f" else None for c in columns]
+            text = render(start, stop, mags)
             # the first row object has no ", " before it
             yield text[2:] if for_json and start == 0 else text
+            # rows start..twin have their mirror rows in the upper half
+            twin = min(stop, nrows - lower)
+            if twin > start:
+                k = twin - start
+                upper.append(render(nrows - twin, nrows - start, [
+                    None if m is None else (m[0][:k][::-1], m[1][:k][::-1])
+                    for m in mags]))
+        while upper:
+            yield upper.pop()
         if for_json:
             yield "]"
 

@@ -15,15 +15,21 @@ where a near tie or a missed decimal exponent would show.
 import json
 import os
 import string
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from math import isfinite
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from minlen import serialize
+from minlen.cli import main
+from minlen.oscillator.spectrum import DOParams, QuantumNumber
+from minlen.oscillator.wavefunction import GridSpec, wavefunction
 from minlen.serialize import FLOAT_FORMAT, Table, dumps_json, write_csv
 
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
@@ -209,3 +215,130 @@ def test_only_uncertain_cells_are_formatted_alone(monkeypatch):
     text = "".join(Table(["v"], [x]).chunks(for_json=False))
     assert text.split("\n")[:-1] == [FLOAT_FORMAT % v for v in x.tolist()]
     assert scalar == [FLOAT_FORMAT % v for v in alone]
+
+
+# magnitudes that `_magnitude_cells` cannot certify, placed at mirrored rows
+MIRRORED_ALONE = [0.0, 5e-324, float("nan"), float("inf"), 45512082456347.6875]
+
+
+def counting_magnitudes(rows):
+    """A stand-in for `serialize._magnitude_cells` that records how many
+    rows each call formats."""
+    inner = serialize._magnitude_cells
+
+    def wrapper(a):
+        rows.append(a.size)
+        return inner(a)
+    return wrapper
+
+
+@st.composite
+def mirrored_columns(draw, nrows):
+    """(header, columns, broken): float columns whose magnitudes read the
+    same backwards, each cell with its own random sign, the uncertified
+    magnitudes at drawn mirrored pairs of rows, maybe an int64 column, and
+    maybe one cell of one float column changed so that the table is no
+    longer mirrored."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    half = (nrows + 1) // 2
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        mag = np.abs(rng.standard_normal(half)) * 10.0 ** rng.integers(
+            -300, 300, half)
+        for v in draw(st.lists(st.sampled_from(MIRRORED_ALONE), max_size=6)):
+            mag[rng.integers(half)] = v
+        mag = np.concatenate([mag, mag[:nrows // 2][::-1]])
+        columns.append(np.where(rng.integers(0, 2, nrows) == 1, -mag, mag))
+    broken = nrows > 1 and draw(st.booleans())
+    if broken:
+        col = columns[draw(st.integers(0, len(columns) - 1))]
+        rows = st.integers(0, nrows - 1)
+        i = draw(rows.filter(lambda i: 2 * i != nrows - 1))
+        # any magnitude but that of its mirror cell
+        col[i] = 0.5 if abs(col[nrows - 1 - i]) != 0.5 else 0.25
+    if draw(st.booleans()):
+        columns.insert(draw(st.integers(0, len(columns))), rng.integers(
+            -(2**63), 2**63 - 1, nrows, dtype=np.int64, endpoint=True))
+    header = [f"c{j}" for j in range(len(columns))]
+    return header, columns, broken
+
+
+@pytest.mark.parametrize("nrows", [1, 2, 3, 4095, 4096, 4097, 8193, 8194])
+@given(data=st.data())
+@settings(max_examples=6, deadline=None)
+def test_mirrored_table_matches_per_cell_rule(nrows, data):
+    """A table whose float columns are mirrored in magnitude formats each
+    mirrored pair once, and its bytes are still those of the per-cell
+    rule; a table with one cell out of mirror takes the plain path."""
+    header, columns, broken = data.draw(mirrored_columns(nrows))
+    rows = list(zip(*[c.tolist() for c in columns]))
+    nfloat = sum(c.dtype.kind == "f" for c in columns)
+    formatted = []
+    with mock.patch.object(serialize, "_magnitude_cells",
+                           counting_magnitudes(formatted)):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "t.csv")
+            write_csv(path, header, columns)
+            with open(path, "rb") as fh:
+                assert fh.read() == oracle_csv(header, rows).encode()
+        assert sum(formatted) == nfloat * (nrows if broken
+                                           else (nrows + 1) // 2)
+        got = dumps_json(Table(header, columns))
+    assert got == dumps_json([dict(zip(header, r)) for r in rows])
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (["wavefunction", "--beta-tilde", "0.5", "--omega-tilde", "1.0",
+      "--n", "3", "--grid-size", "2001"], [1001] * 6),
+    (["wavefunction", "--beta-tilde", "0.5", "--omega-tilde", "1.0",
+      "--n", "3", "--grid-size", "2000"], [1000] * 6),
+    # four float columns (n and tau are integers), not mirrored
+    (["spectrum", "--beta-tilde", "0.5", "--omega-tilde", "1.0",
+      "--n-max", "200"], [401] * 4),
+], ids=["wavefunction-2001", "wavefunction-2000", "spectrum-401"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_mirrored_rows_are_formatted_once(argv, rows, fmt, tmp_path,
+                                          monkeypatch):
+    """Work-count guard: the magnitude kernel formats the ceil(N/2) rows
+    of each float column of a wavefunction table, whose columns are odd
+    or even in the grid, and every row of a spectrum table."""
+    formatted = []
+    monkeypatch.setattr(serialize, "_magnitude_cells",
+                        counting_magnitudes(formatted))
+    assert main(argv + ["--format", fmt, "--out-dir", str(tmp_path)]) == 0
+    assert formatted == rows
+
+
+@pytest.mark.parametrize("bt, n, size", [
+    (0.005, 1, 4001),  # tails of zeros at mirrored nodes
+    (0.0, 2, 4097),
+    (0.0, 2, 4098),
+])
+def test_wavefunction_artifacts_match_per_cell_rule(bt, n, size, tmp_path):
+    params, qn = DOParams(bt, 1.0), QuantumNumber(n, 1)
+    header = ["p_tilde", "q", "psi1", "psi2", "f", "weight"]
+    columns = list(wavefunction(params, qn, GridSpec(size)).csv_rows())
+    rows = list(zip(*[c.tolist() for c in columns]))
+    base = ["wavefunction", "--beta-tilde", repr(bt), "--omega-tilde", "1",
+            "--n", str(n), "--grid-size", str(size)]
+    for fmt, want in [
+            ("csv", oracle_csv(header, rows)),
+            ("json", dumps_json([dict(zip(header, r)) for r in rows]))]:
+        out = tmp_path / fmt
+        assert main(base + ["--format", fmt, "--out-dir", str(out)]) == 0
+        path = out / f"wavefunction_n{n}_taup.{fmt}"
+        assert path.read_text() == want, fmt
+
+
+def test_float_tables_stay_unbuilt_at_import():
+    """Importing the command line builds no lookup table: a subcommand
+    that writes no table pays nothing for them."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    probe = ("import minlen.cli\nfrom minlen import serialize\n"
+             "print(serialize._tables.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    assert proc.stdout.strip() == "0"
