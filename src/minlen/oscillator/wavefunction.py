@@ -85,12 +85,13 @@ def _box_halfwidth(omega_tilde: float, n: int) -> float:
     return math.sqrt(omega_tilde) * (math.sqrt(2.0 * n + 1.0) + 9.0)
 
 
-def _mirror(half, npts: int, parity: int):
+def _mirror(half, npts: int, parity: int, out=None):
     """The npts values on a mirror-symmetric grid of a function of the
     given parity (+1 or -1) under q -> -q, from its values `half` on the
-    non-negative nodes q[npts//2:].  The odd mirror is 0.0 - x, so that a
+    non-negative nodes q[npts//2:], written into `out` (new when None;
+    `half` may be its upper half).  The odd mirror is 0.0 - x, so that a
     mirrored zero is +0.0."""
-    out = np.empty(npts, dtype=half.dtype)
+    out = np.empty(npts, dtype=half.dtype) if out is None else out
     m = npts // 2
     out[m:] = half
     lower = half[npts % 2:][::-1]
@@ -126,7 +127,9 @@ def flat_grid(params: DOParams, p0_tilde: float, npts: int, n: int = 8):
     else:
         q_max = _box_halfwidth(params.omega_tilde, n)
     dq = 2.0 * q_max / (npts + 1)
-    q = dq * (np.arange(npts) - 0.5 * (npts - 1))
+    q = np.arange(npts, dtype=float)
+    q -= 0.5 * (npts - 1)
+    q *= dq
     half = q[npts // 2:]
     if bt > 0:
         half = math.sqrt(c0 / bt) * np.tan(r * half)
@@ -272,12 +275,17 @@ def _coefficients(mu, m: int):
 def _recurrence(x, g0, mu, k: int):
     """Yield g_0, ..., g_k at x, all times g0 (an envelope, or 1).  The
     orthonormal recurrence neither overflows nor cancels at large mu or k,
-    unlike that of C_k^mu."""
+    unlike that of C_k^mu.  In place, in three rotating arrays besides g0,
+    which is never written: each later g_j holds until the next is drawn."""
     a = _coefficients(mu, k)
-    prev, cur = 0.0, g0
+    prev, cur, spare = None, g0, None
     yield cur
     for j in range(k):
-        prev, cur = cur, (x * cur - (a[j - 1] * prev if j else 0.0)) / a[j]
+        nxt = np.multiply(x, cur, out=spare)
+        if j:  # a_(j-1) prev in prev's buffer, a new one at j = 1 (prev is g0)
+            spare = np.multiply(a[j - 1], prev, out=prev if j > 1 else None)
+            nxt -= spare
+        prev, cur = cur, np.divide(nxt, a[j], out=nxt)
         yield cur
 
 
@@ -303,7 +311,9 @@ def _spinor(params: DOParams, level: SpectrumLevel, p):
         c0 = 1.0 - bt * p0**2
         lam, rate = 1.0 / (bt * wt), math.sqrt(bt * c0)  # rate = du/dq
         tan = p * math.sqrt(bt / c0)
-        x, log_cos = tan / np.sqrt(1.0 + tan * tan), -0.5 * np.log1p(tan**2)
+        tan2 = tan * tan
+        x, log_cos = tan / np.sqrt(1.0 + tan2), np.log1p(tan2, out=tan2)
+        log_cos *= -0.5
 
         def family(j, k):
             return _family(x, np.exp((lam + j) * log_cos), lam + j, k)
@@ -351,8 +361,9 @@ def _gauss(params: DOParams, level: SpectrumLevel, m: int):
     """
     bt, wt = params.beta_tilde, params.omega_tilde
     mu = 1.0 / (bt * wt) - 1.0 if bt > 0 else None
-    a = _coefficients(mu, m - 1)
-    if not np.all(np.isfinite(a)):
+    with np.errstate(over="ignore"):  # a_k reads 0 at huge mu
+        a = _coefficients(mu, m - 1)
+    if not np.all((a > 0) & (a < math.inf)):
         raise FloatingPointError(f"no Gauss rule for the index {mu}")
     x = eigh_tridiagonal(np.zeros(m), a, eigvals_only=True)
     # Christoffel weights, summed from the same recurrence
@@ -408,8 +419,10 @@ class WavefunctionGrid:
         return self.f * self.dq
 
     def norm_squared(self) -> float:
-        dens = np.abs(self.psi1) ** 2 + np.abs(self.psi2) ** 2
-        return float(np.sum(dens) * self.dq)
+        dens = np.square(self.psi1)
+        dens += np.square(self.psi2)
+        # abs: a nan sum reads +nan, as a sum of |psi|^2 does
+        return abs(float(np.sum(dens) * self.dq))
 
     def csv_rows(self):
         """The artifact's columns p_tilde, q, psi1, psi2, f, weight, one
@@ -450,19 +463,22 @@ def _sampled(params: DOParams, level: SpectrumLevel, npts: int):
     # psi1 has parity (-1)^n and psi2 (-1)^(n+1): evaluate on the
     # non-negative half of the grid and mirror.  Squares are even; summing
     # them mirrored to full length keeps np.sum's pairwise order, so every
-    # sum is the bit-exact full-grid one
+    # sum is the bit-exact full-grid one.  The squares are formed in the
+    # upper half of one full-length buffer and mirrored in place
     half = p[npts // 2:]
     parity = (-1) ** level.n
+    scratch = np.empty(npts)
 
     def mirrored_sum(squares):
-        return float(np.sum(_mirror(squares, npts, 1)))
+        return float(np.sum(_mirror(squares, npts, 1, out=scratch)))
 
     # a state out of double range (extreme bt wt, where lam = 1/(bt wt) or
     # the recurrence overflows) samples as inf or nan, and the residuals and
     # the quadrature error below report it: numpy's warnings would add noise
     with np.errstate(all="ignore"):
         psi1, psi2, d1, d2 = _spinor(params, level, half)
-        raw = mirrored_sum(psi1**2 + psi2**2) * dq
+        upper = np.square(psi1, out=scratch[npts // 2:])
+        raw = mirrored_sum(np.add(upper, psi2**2, out=upper)) * dq
         # a state that vanishes at every node stays unnormalized
         scale = 1.0 / math.sqrt(raw) if raw > 0 else 1.0
         res2 = half * psi1 + wt * d1 - (p0 + 1.0) * psi2
@@ -472,9 +488,9 @@ def _sampled(params: DOParams, level: SpectrumLevel, npts: int):
                               _mirror(scale * psi2, npts, -parity),
                               f, dq, scale)
         wf.metadata["residual_coupled_1"] = scale * math.sqrt(
-            mirrored_sum(res1**2) * dq)
+            mirrored_sum(np.square(res1, out=upper)) * dq)
         wf.metadata["residual_coupled_2"] = scale * math.sqrt(
-            mirrored_sum(res2**2) * dq)
+            mirrored_sum(np.square(res2, out=upper)) * dq)
     # an exact norm that under- or overflows (extreme wt) fails the check
     exact = _norm_integral(params, level)
     err = abs(raw / exact - 1.0) if 0 < exact < math.inf else math.inf
@@ -523,16 +539,20 @@ def inner_product(a: WavefunctionGrid, b: WavefunctionGrid,
     if a.params != b.params:
         raise ValueError("incompatible grids: different oscillator parameters")
     bt, npts = a.params.beta_tilde, a.p.size
-    fw = _measure_offset(bt, p0_allowed(a.params, weight_level)) + bt * a.p**2
+    c0 = _measure_offset(bt, p0_allowed(a.params, weight_level))
     b1, b2, _, _ = _spinor(b.params, b.level, a.p[npts // 2:])
     parity = (-1) ** b.level.n
-    b1, b2 = _mirror(b1, npts, parity), _mirror(b2, npts, -parity)
-    integrand = (np.conj(a.psi1) * b1 + np.conj(a.psi2) * b2) * (
-        b.amplitude * a.f / fw
-    )
+    # one buffer holds b1, then b2, then fw = c0 + bt p^2; psi is real
+    buf = _mirror(b1, npts, parity)
+    integrand = a.psi1 * buf
+    integrand += np.multiply(a.psi2, _mirror(b2, npts, -parity, out=buf),
+                             out=buf)
+    fw = np.add(c0, np.multiply(bt, np.square(a.p, out=buf), out=buf),
+                out=buf)
+    integrand *= np.divide(b.amplitude * a.f, fw, out=fw)
     val = complex(np.sum(integrand) * a.dq)
     if not with_error:
         return val
     coarse = complex(np.sum(integrand[::2]) * 2 * a.dq)
-    mass = float(np.sum(np.abs(integrand)) * a.dq)
+    mass = float(np.sum(np.abs(integrand, out=buf)) * a.dq)
     return val, max(abs(val - coarse) / 3.0, 1e-14 * mass)

@@ -1,7 +1,12 @@
 """Eigensolver oracle, ladder structure, spinor states and inner products."""
 
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +17,7 @@ from minlen.oscillator.spectrum import (
     AcceptabilityError,
     DOParams,
     QuantumNumber,
+    SpectrumLevel,
     level_K,
     make_level,
     p0_allowed,
@@ -24,7 +30,10 @@ from minlen.oscillator.wavefunction import (
     flat_grid,
     ground_state,
     inner_product,
+    _coefficients,
+    _gauss,
     _l2norm,
+    _recurrence,
     _spinor,
     ladder_apply,
     lowest_eigenvalues,
@@ -327,6 +336,124 @@ def test_sampled_evaluates_half_the_grid(monkeypatch, size):
     assert nodes == [(size + 1) // 2]
     inner_product(wf, wf, QuantumNumber(3, 1))
     assert nodes == [(size + 1) // 2] * 2
+
+
+def recurrence_out_of_place(x, g0, mu, k):
+    """g_0, ..., g_k of `_recurrence` as one fresh array per step, the
+    reference for the in-place one."""
+    a = _coefficients(mu, k)
+    prev, cur = 0.0, g0
+    out = [cur]
+    for j in range(k):
+        prev, cur = cur, (x * cur - (a[j - 1] * prev if j else 0.0)) / a[j]
+        out.append(cur)
+    return out
+
+
+SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def recurrence_inputs(draw):
+    size = draw(st.integers(1, 12))
+    values = st.one_of(st.floats(-2.0, 2.0), st.sampled_from(SPECIAL),
+                       st.floats(allow_nan=True, allow_infinity=True))
+    x = np.array(draw(st.lists(values, min_size=size, max_size=size)))
+    g0 = np.array(draw(st.lists(values, min_size=size, max_size=size)))
+    mu = draw(st.one_of(st.none(),
+                        st.floats(-0.5, 5.0, exclude_min=True),
+                        st.floats(5.0, 1e300)))
+    return x, g0, mu, draw(st.integers(0, 12))
+
+
+@given(recurrence_inputs())
+@example((np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 0.5]),
+          np.ones(6), None, 12))
+@example((np.array([-0.0, 0.3, -math.inf]), np.array([-0.0, 2.0, 1.0]),
+          0.0, 2))
+@settings(max_examples=200, deadline=None)
+def test_recurrence_in_place_is_out_of_place_to_the_bit(inputs):
+    """Every g_j, read as it is drawn, has the bits of the out-of-place
+    expression, signed zeros, nan and inf included, and g0 is never
+    written."""
+    x, g0, mu, k = inputs
+    before = g0.tobytes()
+    with np.errstate(all="ignore"):
+        got = [g.copy() for g in _recurrence(x, g0, mu, k)]
+        want = recurrence_out_of_place(x, g0.copy(), mu, k)
+    assert g0.tobytes() == before
+    assert [g.tobytes() for g in got] == [g.tobytes() for g in want]
+
+
+def test_recurrence_rotates_three_buffers():
+    """Work guard: ten values, g0 and at most three arrays of their own
+    (one fresh array per step would be nine)."""
+    x, g0 = np.linspace(-0.9, 0.9, 101), np.ones(101)
+    gs = list(_recurrence(x, g0, 1.5, 9))
+    assert len(gs) == 10 and gs[0] is g0
+    buffers = {g.__array_interface__["data"][0] for g in gs[1:]}
+    assert g0.__array_interface__["data"][0] not in buffers
+    assert len(buffers) <= 3
+
+
+@given(st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=0.01),
+                 st.floats(min_value=1e-6, max_value=0.99)),
+       st.floats(min_value=0.05, max_value=5.0),
+       st.sampled_from(ALL_LEVELS),
+       st.sampled_from([64, 65, 2000, 2001]))
+@settings(max_examples=50, deadline=None)
+def test_norm_squared_is_the_sum_of_moduli_squared(bt, wt, level, size):
+    wf = wavefunction(DOParams(bt, wt), QuantumNumber(*level), GridSpec(size))
+    want = float(np.sum(np.abs(wf.psi1)**2 + np.abs(wf.psi2)**2) * wf.dq)
+    assert np.float64(wf.norm_squared()).tobytes() == \
+        np.float64(want).tobytes()
+
+
+def test_norm_squared_of_a_nan_state_is_positive_nan():
+    wf = wavefunction(DOParams(0.5, 1.0), QuantumNumber(2, 1), GridSpec(64))
+    wf.psi1[3] = -math.nan
+    assert math.isnan(wf.norm_squared())
+    assert math.copysign(1.0, wf.norm_squared()) == 1.0
+
+
+def test_gauss_refuses_coefficients_that_overflow():
+    """At bt = 0.5, wt = 1e-160 (index about 2e160), (k + mu)(k + mu - 1)
+    overflows and a_2, a_3 read 0: no rule, and no numpy warning."""
+    level = SpectrumLevel(0, 1, 0.0, 0.0, 0.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="no Gauss rule"):
+            _gauss(DOParams(0.5, 1e-160), level, 4)
+
+
+IMPORT_PROBE = r"""
+import json, sys
+import numpy as np
+import minlen.cli
+
+names = sorted(m for m in sys.modules if m == "minlen.uncertainty"
+               or m.split(".")[:2] == ["minlen", "oscillator"])
+held = [m + "." + k for m in names for k, v in vars(sys.modules[m]).items()
+        if isinstance(v, np.ndarray)]
+print(json.dumps([names, held]))
+"""
+
+
+def test_import_builds_no_arrays():
+    """Nothing is computed at import time: no module of the oscillator
+    package, and not `uncertainty`, holds an array once the CLI is
+    imported (buffers are made by each call)."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE],
+                          capture_output=True, text=True, env=env,
+                          timeout=120, check=True)
+    names, held = json.loads(proc.stdout)
+    assert {"minlen.oscillator", "minlen.oscillator.wavefunction",
+            "minlen.oscillator.spectrum", "minlen.uncertainty"} <= set(names)
+    assert held == []
 
 
 def inner_product_direct(a, b, weight_level):
