@@ -18,8 +18,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .core import Spacetime
 from .serialize import Table, write_csv, write_json
 from .symbolic.identities import (
@@ -254,12 +252,12 @@ def cmd_limits(args):
     devs = []
     ratios = []
     for params in all_params:
-        ns = np.arange(args.n_max + 1)
-        p0 = np.array(
-            [p0_allowed(params, QuantumNumber(int(n), 1)) for n in ns]
-        )
-        ref = np.sqrt(1.0 + 2.0 * wt * ns)
-        dev = float(np.max(np.abs(p0 - ref)))
+        # a nan deviation (inf - inf at huge omega_tilde) makes the row nan
+        level_devs = [abs(p0_allowed(params, QuantumNumber(n, 1))
+                          - math.sqrt(1.0 + 2.0 * wt * n))
+                      for n in range(args.n_max + 1)]
+        dev = (math.nan if any(map(math.isnan, level_devs))
+               else max(level_devs))
         devs.append(dev)
         ratios.append(
             devs[-2] / dev if len(devs) > 1 and dev > 0 else float("nan"))

@@ -128,11 +128,16 @@ def level_K(params: DOParams, n: int) -> float:
     return wt * n * (2.0 + bt * wt * n)
 
 
+def measure_offset(params: DOParams, p0_tilde: float) -> float:
+    """c0 = 1 - beta_tilde p0^2, the measure factor f at p = 0."""
+    return 1.0 - params.beta_tilde * p0_tilde**2
+
+
 def e_formula(params: DOParams, n: int, p0_tilde: float) -> float:
     """Ladder eigenvalue e_n(p0) = K [1 - beta_tilde p0^2]."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return level_K(params, n) * (1.0 - params.beta_tilde * p0_tilde**2)
+    return level_K(params, n) * measure_offset(params, p0_tilde)
 
 def p0_allowed(params: DOParams, qn: QuantumNumber) -> float:
     """Self-consistent p0 = tau sqrt((1+K)/(1+beta_tilde K)).

@@ -37,6 +37,7 @@ from .spectrum import (
     QuantumNumber,
     SpectrumLevel,
     make_level,
+    measure_offset,
     p0_allowed,
 )
 
@@ -102,9 +103,12 @@ def _mirror(half, npts: int, parity: int, out=None):
     return out
 
 
-def _measure_offset(bt: float, p0_tilde: float) -> float:
-    """c0 = 1 - bt p0^2, the measure factor f = c0 + bt p^2 at p = 0."""
-    c0 = 1.0 - bt * p0_tilde**2
+def _measure_offset(params: DOParams, p0_tilde: float) -> float:
+    """`measure_offset` c0 of a grid: refused in diagnostic mode and where
+    the measure is singular."""
+    if params.beta_tilde >= 1:
+        raise DiagnosticModeError()
+    c0 = measure_offset(params, p0_tilde)
     if c0 <= 0:
         raise AcceptabilityError(f"1 - beta_tilde p0^2 = {c0} <= 0: "
                                  "measure is singular")
@@ -120,7 +124,7 @@ def flat_grid(params: DOParams, p0_tilde: float, npts: int, n: int = 8):
     bt = 0 the box holds the levels up to n.
     """
     bt = params.beta_tilde
-    c0 = _measure_offset(bt, p0_tilde)
+    c0 = _measure_offset(params, p0_tilde)
     if bt > 0:
         r = math.sqrt(bt * c0)
         q_max = 0.5 * math.pi / r
@@ -189,8 +193,6 @@ def eigensolve_factorized(
     converges to it only slowly, so from x = 2 bt wt of about 1.86 on the
     eigenvalues drift off e_formula and the convergence check fails.
     """
-    if params.beta_tilde >= 1:
-        raise DiagnosticModeError()
     sizes = (npts, 2 * npts + 1, 4 * npts + 3)
     raw = [lowest_eigenvalues(params, p0_tilde, k, n, partner) for n in sizes]
     coarse, mid, fine = raw
@@ -308,7 +310,7 @@ def _spinor(params: DOParams, level: SpectrumLevel, p):
     bt, wt = params.beta_tilde, params.omega_tilde
     n, p0 = level.n, level.p0_tilde
     if bt > 0:
-        c0 = 1.0 - bt * p0**2
+        c0 = measure_offset(params, p0)
         lam, rate = 1.0 / (bt * wt), math.sqrt(bt * c0)  # rate = du/dq
         tan = p * math.sqrt(bt / c0)
         tan2 = tan * tan
@@ -347,6 +349,8 @@ def _spinor(params: DOParams, level: SpectrumLevel, p):
     psi1, t1 = sign * term(0, n), term(1, n - 1)
     d1 = sign * lower(0, n) * t1 - drift(0) * psi1
     # psi2 = B- psi1/(p0 + 1) = (p psi1 + wt d1)/(p0 + 1): wt drift(0) = p
+    if p0 + 1.0 == 0:  # tau = -1 at wt so small that p0 rounds to -1
+        raise FloatingPointError(f"p0 + 1 rounds to 0 at p0 = {p0}")
     amp = wt * sign * lower(0, n) / (p0 + 1.0)
     d2 = amp * (lower(1, n - 1) * term(2, n - 2) - drift(1) * t1)
     return psi1, amp * t1, d1, d2
@@ -372,7 +376,7 @@ def _gauss(params: DOParams, level: SpectrumLevel, m: int):
         return math.sqrt(wt) * x, np.exp(x * x) / christoffel
     # int cos^(2 lam - 2)(u) dq = M (mu + 1)/(mu + 1/2)
     w = (mu + 1.0) / (mu + 0.5) / christoffel / np.exp(mu * np.log1p(-x * x))
-    c0 = 1.0 - bt * level.p0_tilde**2
+    c0 = measure_offset(params, level.p0_tilde)
     return math.sqrt(c0 / bt) * x / np.sqrt(1.0 - x * x), w
 
 
@@ -385,8 +389,27 @@ def _norm_integral(params: DOParams, level: SpectrumLevel) -> float:
     mass = math.sqrt(math.pi * wt)
     if bt > 0:
         gamma_ratio = float(poch(1.0 / (bt * wt) + 1.0, -0.5))
-        mass = math.sqrt(math.pi / (bt * (1.0 - bt * p0**2))) * gamma_ratio
+        c0 = measure_offset(params, p0)
+        mass = math.sqrt(math.pi / (bt * c0)) * gamma_ratio
     return mass * (1.0 + level.e_n / (p0 + 1.0) ** 2)
+
+
+def exact_moments(params: DOParams, level: SpectrumLevel):
+    """(<p^2>, <x^2>) of the closed-form state of `level`, <x^2> being
+    int |dpsi/dq|^2 dq: the (n + 2)-point rule of `_gauss` is exact for
+    both, whose integrands are cos^(2 lam - 2)(u) times a polynomial of
+    degree 2n + 2 in sin u.  For lam = 1/(bt wt) <= 1/2 both are inf."""
+    if not params.beta_tilde * params.omega_tilde < 2.0:
+        return math.inf, math.inf
+    p, w = _gauss(params, level, level.n + 2)
+    psi1, psi2, d1, d2 = _spinor(params, level, p)
+    # dens is cos^(2 lam - 2)(u) (1 - sin^2 u) times a polynomial, so the
+    # rule gives the exact norm too; a moment out of double range is inf
+    with np.errstate(over="ignore"):
+        dens = psi1**2 + psi2**2
+        mass = float(np.sum(w * dens))
+        meansq_p = float(np.sum(w * p * p * dens)) / mass
+        return meansq_p, float(np.sum(w * (d1**2 + d2**2))) / mass
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +479,6 @@ def _sampled(params: DOParams, level: SpectrumLevel, npts: int):
     |sum (psi1^2 + psi2^2) dq / exact integral - 1| before normalization,
     which is what tells a grid too coarse for the state.
     """
-    if params.beta_tilde >= 1:
-        raise DiagnosticModeError()
     p0, wt = level.p0_tilde, params.omega_tilde
     q, p, f, dq, _ = flat_grid(params, p0, npts, level.n)
     # psi1 has parity (-1)^n and psi2 (-1)^(n+1): evaluate on the
@@ -539,7 +560,7 @@ def inner_product(a: WavefunctionGrid, b: WavefunctionGrid,
     if a.params != b.params:
         raise ValueError("incompatible grids: different oscillator parameters")
     bt, npts = a.params.beta_tilde, a.p.size
-    c0 = _measure_offset(bt, p0_allowed(a.params, weight_level))
+    c0 = _measure_offset(a.params, p0_allowed(a.params, weight_level))
     b1, b2, _, _ = _spinor(b.params, b.level, a.p[npts // 2:])
     parity = (-1) ** b.level.n
     # one buffer holds b1, then b2, then fw = c0 + bt p^2; psi is real

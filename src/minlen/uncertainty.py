@@ -18,13 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
 
 from .core import DeformationParams
 from .oscillator.spectrum import AcceptabilityError, DOParams
-from .oscillator.wavefunction import WavefunctionGrid, _gauss, _spinor
+from .oscillator.wavefunction import WavefunctionGrid, exact_moments
 
 
 @dataclass(frozen=True)
@@ -147,11 +144,10 @@ def state_moments(grid: WavefunctionGrid, params: DOParams) -> StateMoments:
 
     The position acts as i f d/dp, which is i d/dq in the flat coordinate,
     so <X^2> = int |dpsi/dq|^2 dq.  <P> and <X> vanish by parity, and the
-    energy component is sharp, <(P^0)^2> = (p0)^2.  The integrands of
-    <P^2> and <X^2> are cos^(2 lam - 2)(u) times a polynomial of degree
-    2n + 2 in sin u, so the (n + 2)-point Gauss rule of the closed form is
-    exact; for lam = 1/(bt wt) <= 1/2 both diverge, and dP, dX are inf.
-    params must be the grid's own.
+    energy component is sharp, <(P^0)^2> = (p0)^2.  <P^2> and <X^2> come
+    exactly from the closed form (`exact_moments`); for lam = 1/(bt wt)
+    <= 1/2 both diverge, and dP, dX are inf.  params must be the grid's
+    own.
     """
     if params != grid.params:
         raise ValueError("grid and params: different oscillator parameters")
@@ -159,18 +155,7 @@ def state_moments(grid: WavefunctionGrid, params: DOParams) -> StateMoments:
     if not abs(norm - 1.0) <= 1e-8:  # a NaN norm fails too
         raise ValueError(f"grid not normalized (norm^2 = {norm})")
     level = grid.level
-    meansq_p = meansq_x = math.inf
-    if params.beta_tilde * params.omega_tilde < 2.0:
-        p, w = _gauss(params, level, level.n + 2)
-        psi1, psi2, d1, d2 = _spinor(params, level, p)
-        # dens is cos^(2 lam - 2) u times cos^2 u = 1 - sin^2 u times a
-        # polynomial, so the same rule gives the exact norm; a moment out
-        # of double range is inf, with no numpy warning
-        with np.errstate(over="ignore"):
-            dens = psi1**2 + psi2**2
-            mass = float(np.sum(w * dens))
-            meansq_p = float(np.sum(w * p * p * dens)) / mass
-            meansq_x = float(np.sum(w * (d1**2 + d2**2))) / mass
+    meansq_p, meansq_x = exact_moments(params, level)
     dP = math.sqrt(meansq_p)
     ms = MomentSet(
         D=1, mean_P=(0.0,), spread_P=(dP,), meansq_P0=level.p0_tilde**2

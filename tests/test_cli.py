@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -457,3 +458,53 @@ def test_limits_at_huge_omega(tmp_path):
     # p0 saturates near 1/sqrt(bt) while the undeformed sqrt(1 + 2 wt n)
     # reaches sqrt(6e300)
     assert all(abs(d / 6e300 ** 0.5 - 1) < 1e-12 for d in devs)
+
+
+# ---- the whole range: every (bt, wt) ends in a verdict ----------------------
+
+GATE_BETAS = ["0", "1e-300", "1e-6", "0.5", "0.99"]
+GATE_OMEGAS = ["1e-320", "1e-160", "1e-6", "1", "1e10", "1e307", "1e308"]
+
+
+def gate_runs(bt, wt):
+    osc = ["--beta-tilde", bt, "--omega-tilde", wt]
+    grid = ["--grid-size", "64"]
+    return [
+        ["spectrum", *osc, "--n-max", "3"],
+        ["wavefunction", *osc, "--n", "2", *grid],
+        ["wavefunction", *osc, "--n", "2", "--tau", "-1", *grid],
+        ["uncertainty", *osc, "--n-max", "2", *grid],
+        ["limits", "--beta-values", f"{bt},1e-3", "--omega-tilde", wt,
+         "--n-max", "20"],
+    ]
+
+
+def strict_json(text):
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("wt", GATE_OMEGAS)
+@pytest.mark.parametrize("bt", GATE_BETAS)
+def test_whole_range_ends_in_a_verdict(tmp_path, bt, wt):
+    """Each subcommand returns 0, 1 or 2 with at most one stderr line and no
+    float warning, and its report.json, written on every pass, is strict
+    JSON."""
+    for i, args in enumerate(gate_runs(bt, wt)):
+        out = str(tmp_path / str(i))
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(args + ["--out-dir", out])
+        assert code in (0, 1, 2), args
+        assert len(err.getvalue().splitlines()) <= 1, (args, err.getvalue())
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] \
+            == [], args
+        path = os.path.join(out, "report.json")
+        if os.path.exists(path):
+            strict_json(read(path))
+        else:
+            assert code != 0, args

@@ -426,6 +426,15 @@ def test_gauss_refuses_coefficients_that_overflow():
             _gauss(DOParams(0.5, 1e-160), level, 4)
 
 
+@pytest.mark.parametrize("wt", [1e-160, 1e-300])
+@pytest.mark.parametrize("n", [1, 2, 10])
+def test_spinor_refuses_p0_plus_one_rounding_to_zero(wt, n):
+    """tau = -1 at so small a wt that p0 rounds to -1: psi2 = B- psi1/(p0 + 1)
+    has no value, and the refusal names p0 + 1."""
+    with pytest.raises(FloatingPointError, match=r"p0 \+ 1 rounds to 0"):
+        wavefunction(DOParams(0.5, wt), QuantumNumber(n, -1))
+
+
 IMPORT_PROBE = r"""
 import json, sys
 import numpy as np
