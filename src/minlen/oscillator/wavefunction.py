@@ -115,14 +115,24 @@ def _measure_offset(params: DOParams, p0_tilde: float) -> float:
     return c0
 
 
-def flat_grid(params: DOParams, p0_tilde: float, npts: int, n: int = 8):
-    """Interior nodes of the flat coordinate; returns (q, p, f, dq, c0).
+def _nodes(npts: int, dq: float, start: int = 0):
+    """The nodes q[start:] of the npts-node grid of spacing dq, mirror-
+    symmetric to the last bit: q = -q[::-1], and an odd grid's centre is 0."""
+    q = np.arange(start, npts, dtype=float)
+    q -= 0.5 * (npts - 1)
+    q *= dq
+    return q
 
-    The nodes are mirror-symmetric to the last bit by construction: q =
-    -q[::-1], the centre node of an odd grid is exactly 0, and p (odd) and
-    f (even) are computed on the non-negative half and mirrored.  For
-    bt = 0 the box holds the levels up to n.
-    """
+
+def _measure(params: DOParams, p0_tilde: float, p):
+    """f = c0 + bt p^2 at mirror-symmetric momenta p, from their upper half."""
+    half = p[p.size // 2:]
+    c0 = measure_offset(params, p0_tilde)
+    return _mirror(c0 + params.beta_tilde * half * half, p.size, 1)
+
+
+def _momenta(params: DOParams, p0_tilde: float, npts: int, n: int):
+    """(p, dq, c0) of `flat_grid`, p mirrored from the non-negative nodes."""
     bt = params.beta_tilde
     c0 = _measure_offset(params, p0_tilde)
     if bt > 0:
@@ -131,15 +141,19 @@ def flat_grid(params: DOParams, p0_tilde: float, npts: int, n: int = 8):
     else:
         q_max = _box_halfwidth(params.omega_tilde, n)
     dq = 2.0 * q_max / (npts + 1)
-    q = np.arange(npts, dtype=float)
-    q -= 0.5 * (npts - 1)
-    q *= dq
-    half = q[npts // 2:]
+    half = _nodes(npts, dq, npts // 2)
     if bt > 0:
         half = math.sqrt(c0 / bt) * np.tan(r * half)
-    p = _mirror(half, npts, -1)
-    f = _mirror(c0 + bt * half * half, npts, 1)
-    return q, p, f, dq, c0
+    return _mirror(half, npts, -1), dq, c0
+
+
+def flat_grid(params: DOParams, p0_tilde: float, npts: int, n: int = 8):
+    """Interior nodes of the flat coordinate; returns (q, p, f, dq, c0).
+
+    q, p (odd) and f (even) are mirror-symmetric to the last bit by
+    construction.  For bt = 0 the box holds the levels up to n."""
+    p, dq, c0 = _momenta(params, p0_tilde, npts, n)
+    return _nodes(npts, dq), p, _measure(params, p0_tilde, p), dq, c0
 
 
 def _ladder_tridiagonal(wt: float, p, f, dq: float, partner: bool = False):
@@ -420,6 +434,8 @@ def exact_moments(params: DOParams, level: SpectrumLevel):
 class WavefunctionGrid:
     """Sampled spinor components on the flat-coordinate grid.
 
+    Only p, psi1 and psi2 are stored: q, f and weights are rebuilt on each
+    access, with `flat_grid`'s bits (keep them to use them repeatedly).
     weights are dp-measure quadrature weights (weights/f equals dq), so the
     normalization contract reads sum(weights*(psi1^2+psi2^2)/f) = 1.
     amplitude is the factor between the samples and the unnormalized
@@ -428,14 +444,20 @@ class WavefunctionGrid:
 
     params: DOParams
     level: SpectrumLevel
-    q: np.ndarray
     p: np.ndarray
     psi1: np.ndarray
     psi2: np.ndarray
-    f: np.ndarray
     dq: float
     amplitude: float = 1.0
     metadata: dict = field(default_factory=dict)
+
+    @property
+    def q(self):
+        return _nodes(self.p.size, self.dq)
+
+    @property
+    def f(self):
+        return _measure(self.params, self.level.p0_tilde, self.p)
 
     @property
     def weights(self):
@@ -450,7 +472,8 @@ class WavefunctionGrid:
     def csv_rows(self):
         """The artifact's columns p_tilde, q, psi1, psi2, f, weight, one
         array each, yielded in turn (perfbench times this as a generator)."""
-        yield from (self.p, self.q, self.psi1, self.psi2, self.f, self.weights)
+        f = self.f
+        yield from (self.p, self.q, self.psi1, self.psi2, f, f * self.dq)
 
 
 def ladder_apply(sign: int, grid: WavefunctionGrid, values):
@@ -480,7 +503,7 @@ def _sampled(params: DOParams, level: SpectrumLevel, npts: int):
     which is what tells a grid too coarse for the state.
     """
     p0, wt = level.p0_tilde, params.omega_tilde
-    q, p, f, dq, _ = flat_grid(params, p0, npts, level.n)
+    p, dq, _ = _momenta(params, p0, npts, level.n)
     # psi1 has parity (-1)^n and psi2 (-1)^(n+1): evaluate on the
     # non-negative half of the grid and mirror.  Squares are even; summing
     # them mirrored to full length keeps np.sum's pairwise order, so every
@@ -504,10 +527,10 @@ def _sampled(params: DOParams, level: SpectrumLevel, npts: int):
         scale = 1.0 / math.sqrt(raw) if raw > 0 else 1.0
         res2 = half * psi1 + wt * d1 - (p0 + 1.0) * psi2
         res1 = half * psi2 - wt * d2 - (p0 - 1.0) * psi1
-        wf = WavefunctionGrid(params, level, q, p,
+        wf = WavefunctionGrid(params, level, p,
                               _mirror(scale * psi1, npts, parity),
                               _mirror(scale * psi2, npts, -parity),
-                              f, dq, scale)
+                              dq, scale)
         wf.metadata["residual_coupled_1"] = scale * math.sqrt(
             mirrored_sum(np.square(res1, out=upper)) * dq)
         wf.metadata["residual_coupled_2"] = scale * math.sqrt(
@@ -561,19 +584,21 @@ def inner_product(a: WavefunctionGrid, b: WavefunctionGrid,
         raise ValueError("incompatible grids: different oscillator parameters")
     bt, npts = a.params.beta_tilde, a.p.size
     c0 = _measure_offset(a.params, p0_allowed(a.params, weight_level))
-    b1, b2, _, _ = _spinor(b.params, b.level, a.p[npts // 2:])
     parity = (-1) ** b.level.n
-    # one buffer holds b1, then b2, then fw = c0 + bt p^2; psi is real
-    buf = _mirror(b1, npts, parity)
-    integrand = a.psi1 * buf
-    integrand += np.multiply(a.psi2, _mirror(b2, npts, -parity, out=buf),
-                             out=buf)
-    fw = np.add(c0, np.multiply(bt, np.square(a.p, out=buf), out=buf),
-                out=buf)
-    integrand *= np.divide(b.amplitude * a.f, fw, out=fw)
-    val = complex(np.sum(integrand) * a.dq)
-    if not with_error:
-        return val
-    coarse = complex(np.sum(integrand[::2]) * 2 * a.dq)
-    mass = float(np.sum(np.abs(integrand, out=buf)) * a.dq)
+    # a state out of double range gives inf or nan, silently as `_sampled`
+    with np.errstate(all="ignore"):
+        b1, b2 = _spinor(b.params, b.level, a.p[npts // 2:])[:2]
+        # one buffer holds b1, then b2, then fw = c0 + bt p^2; psi is real
+        buf = _mirror(b1, npts, parity)
+        integrand = a.psi1 * buf
+        integrand += np.multiply(a.psi2, _mirror(b2, npts, -parity, out=buf),
+                                 out=buf)
+        fw = np.add(c0, np.multiply(bt, np.square(a.p, out=buf), out=buf),
+                    out=buf)
+        integrand *= np.divide(b.amplitude * a.f, fw, out=fw)
+        val = complex(np.sum(integrand) * a.dq)
+        if not with_error:
+            return val
+        coarse = complex(np.sum(integrand[::2]) * 2 * a.dq)
+        mass = float(np.sum(np.abs(integrand, out=buf)) * a.dq)
     return val, max(abs(val - coarse) / 3.0, 1e-14 * mass)

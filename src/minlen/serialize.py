@@ -57,7 +57,8 @@ def _tables():
     """The lookup tables of `_magnitude_cells`, built on first use: "0000" to
     "9999" as four ASCII digits in one uint32 each, then (H, L, b) arrays
     with 10^k = (H + L)·2^b, H in [1/2, 1] and H + L exact to about
-    2^-106, for k = _K0.._K1."""
+    2^-106, for k = _K0.._K1, then "e-308" to "e+308" as 5 bytes each (a
+    third exponent digit of 0 is a NUL byte: %e prints at least two)."""
     digits = np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")
     table = []
     for k in range(_K0, _K1 + 1):
@@ -69,7 +70,10 @@ def _tables():
         h = float(r)
         table.append((h, float(r - Fraction(h)), b))
     arrays = [digits.astype(np.uint8).view(np.uint32)[:, 0]]
-    arrays += [np.array(column) for column in zip(*table)]
+    exponents = np.array([b"e%+04d" % k for k in range(-308, 309)], "S5")
+    exponents = exponents.view(np.uint8).reshape(-1, 5).copy()
+    exponents[exponents[:, 2] == ord("0"), 2] = 0
+    arrays += [np.array(column) for column in zip(*table)] + [exponents]
     for a in arrays:
         a.flags.writeable = False
     return arrays
@@ -106,7 +110,7 @@ def _magnitude_cells(a: np.ndarray):
     a = np.where(normal, a, 1.0)
     e10 = np.floor(np.log10(a)).astype(np.int64)
     m, e = np.frexp(a)
-    digits4, h, l, b = _tables()
+    digits4, h, l, b, exponents = _tables()
     i = 16 - e10 - _K0
     H = h.take(i, mode="clip")
     s = b.take(i, mode="clip") + e
@@ -114,9 +118,11 @@ def _magnitude_cells(a: np.ndarray):
     mh, Hh = _split(m), _split(H)
     ml, Hl = m - mh, H - Hh
     err = ((mh * Hh - p) + mh * Hl + ml * Hh) + ml * Hl
-    big = np.ldexp(p, s)
+    # 10^k a = p·2^s, p in [1/4, 1): scaling by 2^s (near 10^16) is exact
+    scale = np.ldexp(1.0, s)
+    big = p * scale
     whole = np.rint(big)
-    frac = (big - whole) + np.ldexp(err + m * l.take(i, mode="clip"), s)
+    frac = (big - whole) + (err + m * l.take(i, mode="clip")) * scale
     carry = np.rint(frac)
     n = whole.astype(np.int64) + carry.astype(np.int64)
     sure = (normal & (np.abs(frac - carry) < 0.5 - 1e-9)
@@ -128,16 +134,11 @@ def _magnitude_cells(a: np.ndarray):
     high, low = top - lead * 10**8, n - top * 10**8
     hh, lh = high // 10**4, low // 10**4
     quads = np.stack([hh, high - hh * 10**4, lh, low - lh * 10**4], axis=1)
-    exp = digits4[np.abs(e10)].view(np.uint8).reshape(-1, 4)
     cells = np.empty((len(a), SLOT), np.uint8)
     cells[:, 1] = lead + ord("0")
     cells[:, 2] = ord(".")
     cells[:, 3:19] = digits4[quads].view(np.uint8)
-    cells[:, 19] = ord("e")
-    cells[:, 20] = np.where(e10 < 0, ord("-"), ord("+"))
-    # %e prints at least two exponent digits
-    cells[:, 21] = np.where(exp[:, 1] == ord("0"), 0, exp[:, 1])
-    cells[:, 22:24] = exp[:, 2:4]
+    cells[:, 19:24] = exponents.take(e10 + 308, axis=0, mode="clip")
     return cells, sure
 
 

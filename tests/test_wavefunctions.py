@@ -1,11 +1,13 @@
 """Eigensolver oracle, ladder structure, spinor states and inner products."""
 
+import cmath
 import json
 import math
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -338,6 +340,77 @@ def test_sampled_evaluates_half_the_grid(monkeypatch, size):
     assert nodes == [(size + 1) // 2] * 2
 
 
+@pytest.mark.parametrize("size", [64, 65, 2000, 2001])
+@pytest.mark.parametrize("bt", [0.0, 0.005, 0.5])
+def test_grid_rebuilds_q_f_and_weights_to_the_bit(bt, size):
+    """A state stores p, psi1 and psi2 only: its q, f and weights are
+    rebuilt on access and equal `flat_grid`'s, signed zeros included."""
+    params = DOParams(bt, 1.0)
+    for n, tau in [(0, 1), (1, 1), (2, -1), (5, 1)]:
+        wf = wavefunction(params, QuantumNumber(n, tau), GridSpec(size))
+        q, p, f, dq, _ = flat_grid(params, wf.level.p0_tilde, size, n)
+        assert dq == wf.dq
+        for got, want in [(wf.q, q), (wf.p, p), (wf.f, f),
+                          (wf.weights, f * dq)]:
+            assert got.tobytes() == want.tobytes()
+        arrays = {k for k, v in vars(wf).items() if isinstance(v, np.ndarray)}
+        assert arrays == {"p", "psi1", "psi2"}
+
+
+def test_sampled_builds_half_the_nodes_and_no_measure(monkeypatch):
+    """Work guard: a state builds the nodes of the non-negative half of the
+    grid only, and never the measure f; `inner_product` and `csv_rows`
+    build f once each."""
+    built, measured = [], []
+    nodes, measure = wavefunction_module._nodes, wavefunction_module._measure
+
+    def counting_nodes(npts, dq, start=0):
+        built.append(npts - start)
+        return nodes(npts, dq, start)
+
+    def counting_measure(*args):
+        measured.append(args)
+        return measure(*args)
+
+    monkeypatch.setattr(wavefunction_module, "_nodes", counting_nodes)
+    monkeypatch.setattr(wavefunction_module, "_measure", counting_measure)
+    for size in (2000, 2001):
+        for bt in (0.0, 0.5):
+            built.clear()
+            wf = wavefunction(DOParams(bt, 1.0), QuantumNumber(3, 1),
+                              GridSpec(size))
+            assert built == [(size + 1) // 2]
+    assert measured == []
+    inner_product(wf, wf, QuantumNumber(3, 1))
+    assert len(measured) == 1
+    assert len(list(wf.csv_rows())) == 6 and len(measured) == 2
+
+
+@pytest.mark.parametrize("bt", [0.0, 0.5])
+def test_state_memory_gate(bt):
+    """Memory gate, in bytes that tracemalloc counts (deterministic, unlike
+    the resident size): each of 11 states at N = 8001 holds at most 3.05
+    arrays of N doubles (p, psi1, psi2), and one `wavefunction` call peaks
+    at no more than 8."""
+    size = 8001
+    params = DOParams(bt, 1.0)
+    wavefunction(params, QuantumNumber(1, 1), GridSpec(size))  # lazy imports
+    array = 8 * size
+    tracemalloc.start()
+    try:
+        wavefunction(params, QuantumNumber(5, -1), GridSpec(size))
+        peak = tracemalloc.get_traced_memory()[1]
+        before = tracemalloc.get_traced_memory()[0]
+        states = [wavefunction(params, QuantumNumber(n, 1), GridSpec(size))
+                  for n in range(11)]
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(states) == 11
+    assert held / len(states) <= 3.05 * array
+    assert peak <= 8 * array
+
+
 def recurrence_out_of_place(x, g0, mu, k):
     """g_0, ..., g_k of `_recurrence` as one fresh array per step, the
     reference for the in-place one."""
@@ -552,6 +625,20 @@ def test_inner_product_rejects_a_singular_weight():
         inner_product(a, a, QuantumNumber(1, 1))
     val, err = inner_product(a, a, QuantumNumber(0, 1), with_error=True)
     assert abs(val - 1.0) <= err
+
+
+@pytest.mark.parametrize("params", [DOParams(1e-300, 1.0),
+                                    DOParams(0.5, 1e-160)])
+def test_inner_product_is_silent_out_of_double_range(params):
+    """A state out of double range gives a nan overlap and error, with no
+    numpy warning, as `wavefunction` samples it without one."""
+    a, b = (wavefunction(params, QuantumNumber(n, 1), GridSpec(64))
+            for n in (0, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val, err = inner_product(a, b, QuantumNumber(0, 1), with_error=True)
+        assert cmath.isnan(inner_product(a, b, QuantumNumber(0, 1)))
+    assert cmath.isnan(val) and math.isnan(err)
 
 
 def test_inner_product_conjugate_symmetric():
