@@ -21,6 +21,14 @@ and the stencils of `fd_derivative` and `ladder_apply` do not produce
 the states: they are the independent finite-difference oracle, on one
 fixed ladder of three grids, that the tests and the benchmark compare
 against.
+
+The moments <p^2> and <x^2> of a state come from an exact Gauss rule
+(`_gauss`).  Its nodes are the eigenvalues of the Jacobi matrix of the
+recurrence (Golub & Welsch, Math. Comp. 23 (1969) 221), whose diagonal
+is zero for a symmetric weight: reordered even indices first, it is
+[[0, B], [B^T, 0]] with B bidiagonal, so the nodes are +-sigma(B), and 0
+for an odd order.  numpy alone gives the singular values sigma; only the
+oracle's tridiagonal eigenproblem loads scipy.
 """
 
 from __future__ import annotations
@@ -66,18 +74,11 @@ class GridSpec:
 
 
 def eigh_tridiagonal(*args, **kwargs):
-    """scipy.linalg.eigh_tridiagonal, imported on the first call: the exact
-    half of the package and most subcommands never need scipy."""
+    """scipy.linalg.eigh_tridiagonal, imported on the first call: only the
+    finite-difference oracle needs it, and no subcommand loads scipy."""
     from scipy.linalg import eigh_tridiagonal
 
     return eigh_tridiagonal(*args, **kwargs)
-
-
-def poch(z, m):
-    """scipy.special.poch, imported on the first call."""
-    from scipy.special import poch
-
-    return poch(z, m)
 
 
 def _box_halfwidth(omega_tilde: float, n: int) -> float:
@@ -124,11 +125,12 @@ def _nodes(npts: int, dq: float, start: int = 0):
     return q
 
 
-def _measure(params: DOParams, p0_tilde: float, p):
-    """f = c0 + bt p^2 at mirror-symmetric momenta p, from their upper half."""
+def _measure(params: DOParams, p0_tilde: float, p, out=None):
+    """f = c0 + bt p^2 at mirror-symmetric momenta p, from their upper half,
+    written into `out` (new when None); refused as `_measure_offset` does."""
     half = p[p.size // 2:]
-    c0 = measure_offset(params, p0_tilde)
-    return _mirror(c0 + params.beta_tilde * half * half, p.size, 1)
+    c0 = _measure_offset(params, p0_tilde)
+    return _mirror(c0 + params.beta_tilde * half * half, p.size, 1, out)
 
 
 def _momenta(params: DOParams, p0_tilde: float, npts: int, n: int):
@@ -274,6 +276,33 @@ def _l2norm(values, dq: float) -> float:
 # closed-form states
 
 
+def _lam(params: DOParams) -> float:
+    """The index lam = 1/(bt wt) of the deformed states (bt > 0)."""
+    bt, wt = params.beta_tilde, params.omega_tilde
+    if bt * wt == 0:
+        raise FloatingPointError(
+            f"beta_tilde omega_tilde rounds to 0 at beta_tilde = {bt}, "
+            f"omega_tilde = {wt}")
+    return 1.0 / (bt * wt)
+
+
+def _gamma_ratio(x: float) -> float:
+    """Gamma(x + 1/2)/Gamma(x + 1) for x > 0.  From x = 1 on it is taken as
+    (x - 1/2)/x Gamma(x - 1/2)/Gamma(x), whose arguments are exact: the
+    steep Gamma turns the rounding of x + 1/2 or x + 1 (where they cross
+    a power of 2) into relative errors up to 7e-14.  `math.gamma`
+    overflows past x = 171, so from x = 160 on the asymptotic series in
+    1/x takes over; its truncation error there is 4.4e-19."""
+    if x < 1.0:
+        return math.gamma(x + 0.5) / math.gamma(x + 1.0)
+    if x < 160.0:
+        return (x - 0.5) / x * (math.gamma(x - 0.5) / math.gamma(x))
+    t = 1.0 / x
+    series = 1.0 + t * (-1 / 8 + t * (1 / 128 + t * (5 / 1024 + t * (
+        -21 / 32768 + t * (-399 / 262144 + t * (869 / 4194304))))))
+    return series / math.sqrt(x)
+
+
 def _coefficients(mu, m: int):
     """a_1 .. a_m of x g_k = a_(k+1) g_(k+1) + a_k g_(k-1), the recurrence
     of the orthonormal polynomials for the weight (1 - x^2)^(mu - 1/2) on
@@ -325,7 +354,7 @@ def _spinor(params: DOParams, level: SpectrumLevel, p):
     n, p0 = level.n, level.p0_tilde
     if bt > 0:
         c0 = measure_offset(params, p0)
-        lam, rate = 1.0 / (bt * wt), math.sqrt(bt * c0)  # rate = du/dq
+        lam, rate = _lam(params), math.sqrt(bt * c0)  # rate = du/dq
         tan = p * math.sqrt(bt / c0)
         tan2 = tan * tan
         x, log_cos = tan / np.sqrt(1.0 + tan2), np.log1p(tan2, out=tan2)
@@ -370,20 +399,40 @@ def _spinor(params: DOParams, level: SpectrumLevel, p):
     return psi1, amp * t1, d1, d2
 
 
+def _gauss_nodes(a):
+    """The m = a.size + 1 eigenvalues, ascending, of the Jacobi matrix J
+    that is zero on the diagonal and a_1 .. a_(m-1) beside it (Golub &
+    Welsch).  Taking the even indices first folds J into
+    [[0, B], [B^T, 0]], with the ceil(m/2) x floor(m/2) bidiagonal
+    B[i, i] = a_(2i+1), B[i+1, i] = a_(2i+2): the eigenvalues are
+    -sigma(B), then 0 when m is odd, then sigma(B), symmetric to the last
+    bit.  numpy has no tridiagonal eigensolver; the folded problem is half
+    the size of the dense J."""
+    m = a.size + 1
+    fold = np.zeros((m - m // 2, m // 2))
+    np.fill_diagonal(fold, a[0::2])
+    np.fill_diagonal(fold[1:], a[1::2])
+    sigma = np.linalg.svd(fold, compute_uv=False)  # descending
+    return np.concatenate((-sigma, np.zeros(m % 2), sigma[::-1]))
+
+
 def _gauss(params: DOParams, level: SpectrumLevel, m: int):
     """m-point Gauss rule in q, in units of M = int cos^(2 lam)(u) dq: nodes
     p_k and weights w_k with sum w_k F(p_k) = int F dq / M exactly when F
     is cos^(2 lam - 2)(u) times a polynomial in sin u of degree below 2m
     (Gauss-Jacobi in z = sin u with alpha = beta = lam - 3/2; lam > 1/2),
     or, for bt = 0, exp(-p^2/wt) times a polynomial in p (Gauss-Hermite).
+    The nodes in z (or in y = p/sqrt(wt)) are the eigenvalues of the
+    Jacobi matrix, which `_gauss_nodes` folds into the singular values of
+    a half-size bidiagonal block.
     """
     bt, wt = params.beta_tilde, params.omega_tilde
-    mu = 1.0 / (bt * wt) - 1.0 if bt > 0 else None
+    mu = _lam(params) - 1.0 if bt > 0 else None
     with np.errstate(over="ignore"):  # a_k reads 0 at huge mu
         a = _coefficients(mu, m - 1)
     if not np.all((a > 0) & (a < math.inf)):
         raise FloatingPointError(f"no Gauss rule for the index {mu}")
-    x = eigh_tridiagonal(np.zeros(m), a, eigvals_only=True)
+    x = _gauss_nodes(a)
     # Christoffel weights, summed from the same recurrence
     christoffel = sum(g * g for g in _recurrence(x, np.ones(m), mu, m - 1))
     if bt == 0:
@@ -402,9 +451,8 @@ def _norm_integral(params: DOParams, level: SpectrumLevel) -> float:
     bt, wt, p0 = params.beta_tilde, params.omega_tilde, level.p0_tilde
     mass = math.sqrt(math.pi * wt)
     if bt > 0:
-        gamma_ratio = float(poch(1.0 / (bt * wt) + 1.0, -0.5))
         c0 = measure_offset(params, p0)
-        mass = math.sqrt(math.pi / (bt * c0)) * gamma_ratio
+        mass = math.sqrt(math.pi / (bt * c0)) * _gamma_ratio(_lam(params))
     return mass * (1.0 + level.e_n / (p0 + 1.0) ** 2)
 
 
@@ -582,19 +630,18 @@ def inner_product(a: WavefunctionGrid, b: WavefunctionGrid,
     """
     if a.params != b.params:
         raise ValueError("incompatible grids: different oscillator parameters")
-    bt, npts = a.params.beta_tilde, a.p.size
-    c0 = _measure_offset(a.params, p0_allowed(a.params, weight_level))
+    npts = a.p.size
     parity = (-1) ** b.level.n
     # a state out of double range gives inf or nan, silently as `_sampled`
     with np.errstate(all="ignore"):
         b1, b2 = _spinor(b.params, b.level, a.p[npts // 2:])[:2]
-        # one buffer holds b1, then b2, then fw = c0 + bt p^2; psi is real
+        # one buffer holds b1, then b2, then the weight's f; psi is real
         buf = _mirror(b1, npts, parity)
         integrand = a.psi1 * buf
         integrand += np.multiply(a.psi2, _mirror(b2, npts, -parity, out=buf),
                                  out=buf)
-        fw = np.add(c0, np.multiply(bt, np.square(a.p, out=buf), out=buf),
-                    out=buf)
+        fw = _measure(a.params, p0_allowed(a.params, weight_level), a.p,
+                      out=buf)
         integrand *= np.divide(b.amplitude * a.f, fw, out=fw)
         val = complex(np.sum(integrand) * a.dq)
         if not with_error:

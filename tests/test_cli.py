@@ -10,7 +10,7 @@ import warnings
 
 import pytest
 
-from minlen.cli import main
+from minlen.cli import build_parser, main
 
 
 def run(args):
@@ -285,6 +285,27 @@ def test_flags_override_config(tmp_path):
     assert '"n_max": 7' in text
 
 
+def test_config_value_may_hold_an_equals_sign(tmp_path):
+    """Only the first "=" of a line splits key from value."""
+    out = tmp_path / "a=b"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"out-dir = {out}\n")
+    assert run(SPECTRUM_OK + ["--config", str(cfg)]) == 0
+    assert os.path.exists(out / "report.json")
+
+
+@pytest.mark.parametrize("argv, name, default", [
+    (["spectrum"], "n_max", 10),
+    (["uncertainty"], "n_max", 5),
+    (["uncertainty"], "grid_size", 4001),
+    (["wavefunction", "--n", "1"], "tau", 1),
+], ids=["spectrum-n-max", "uncertainty-n-max", "uncertainty-grid-size",
+        "wavefunction-tau"])
+def test_flag_defaults(argv, name, default):
+    osc = ["--beta-tilde", "0.5", "--omega-tilde", "1.0"]
+    assert getattr(build_parser().parse_args(argv + osc), name) == default
+
+
 def test_malformed_config_line(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("this line has no equals sign\n")
@@ -401,6 +422,20 @@ def test_wavefunction_at_tiny_omega_fails_quadrature(tmp_path):
     # no float warnings, one line naming what missed
     assert len(err) == 1 and err[0].startswith("check failed:")
     assert "quadrature_error = inf" in err[0]
+
+
+@pytest.mark.parametrize("command", [["wavefunction", "--n", "2"],
+                                     ["uncertainty", "--n-max", "2"]],
+                         ids=["wavefunction", "uncertainty"])
+def test_vanishing_beta_omega_product_is_named(tmp_path, command):
+    # bt wt = 1e-300 * 1e-160 rounds to 0: lam = 1/(bt wt) has no value
+    code, err, report = run_extreme(tmp_path, command + [
+        "--beta-tilde", "1e-300", "--omega-tilde", "1e-160",
+        "--grid-size", "64"])
+    assert code == 1 and report is None
+    assert err == ["check failed: out of floating-point range: beta_tilde "
+                   "omega_tilde rounds to 0 at beta_tilde = 1e-300, "
+                   "omega_tilde = 1e-160"]
 
 
 def test_uncertainty_at_huge_omega(tmp_path):

@@ -33,8 +33,12 @@ from minlen.oscillator.wavefunction import (
     ground_state,
     inner_product,
     _coefficients,
+    _gamma_ratio,
     _gauss,
+    _gauss_nodes,
     _l2norm,
+    _lam,
+    _norm_integral,
     _recurrence,
     _spinor,
     ladder_apply,
@@ -359,8 +363,8 @@ def test_grid_rebuilds_q_f_and_weights_to_the_bit(bt, size):
 
 def test_sampled_builds_half_the_nodes_and_no_measure(monkeypatch):
     """Work guard: a state builds the nodes of the non-negative half of the
-    grid only, and never the measure f; `inner_product` and `csv_rows`
-    build f once each."""
+    grid only, and never the measure f; `inner_product` builds f twice (a's
+    and the weight's) and `csv_rows` once."""
     built, measured = [], []
     nodes, measure = wavefunction_module._nodes, wavefunction_module._measure
 
@@ -368,9 +372,9 @@ def test_sampled_builds_half_the_nodes_and_no_measure(monkeypatch):
         built.append(npts - start)
         return nodes(npts, dq, start)
 
-    def counting_measure(*args):
+    def counting_measure(*args, **kwargs):
         measured.append(args)
-        return measure(*args)
+        return measure(*args, **kwargs)
 
     monkeypatch.setattr(wavefunction_module, "_nodes", counting_nodes)
     monkeypatch.setattr(wavefunction_module, "_measure", counting_measure)
@@ -382,8 +386,8 @@ def test_sampled_builds_half_the_nodes_and_no_measure(monkeypatch):
             assert built == [(size + 1) // 2]
     assert measured == []
     inner_product(wf, wf, QuantumNumber(3, 1))
-    assert len(measured) == 1
-    assert len(list(wf.csv_rows())) == 6 and len(measured) == 2
+    assert len(measured) == 2
+    assert len(list(wf.csv_rows())) == 6 and len(measured) == 3
 
 
 @pytest.mark.parametrize("bt", [0.0, 0.5])
@@ -499,6 +503,92 @@ def test_gauss_refuses_coefficients_that_overflow():
             _gauss(DOParams(0.5, 1e-160), level, 4)
 
 
+def test_lam_refuses_a_product_that_rounds_to_zero():
+    """bt wt = 1e-300 * 1e-160 rounds to 0: every user of lam = 1/(bt wt)
+    names the product, where it divided by zero before; a product that is
+    merely subnormal still gives lam = inf."""
+    params = DOParams(1e-300, 1e-160)
+    level = SpectrumLevel(0, 1, 0.0, 0.0, 0.0, 0.0)
+    calls = [lambda: _spinor(params, level, np.linspace(0.0, 1.0, 5)),
+             lambda: _gauss(params, level, 4),
+             lambda: _norm_integral(params, level)]
+    named = (r"^beta_tilde omega_tilde rounds to 0 at beta_tilde = 1e-300, "
+             r"omega_tilde = 1e-160$")
+    for call in calls:
+        with pytest.raises(FloatingPointError, match=named):
+            call()
+    assert _lam(DOParams(1e-300, 1e-23)) == math.inf
+
+
+def gamma_ratio_mp(x):
+    import mpmath
+
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        return mpmath.gamma(x + 0.5) / mpmath.gamma(x + 1)
+
+
+def test_gamma_ratio_against_mpmath():
+    """Gamma(x + 1/2)/Gamma(x + 1) to 2e-15 relative over seeded
+    log-uniform x in [0.5, 1e12], on both sides of the switch to the
+    series at x = 160, and just below powers of 2, where x + 1/2 and
+    x + 1 round."""
+    pytest.importorskip("mpmath")
+    rng = random.Random(2026)
+    xs = [math.exp(rng.uniform(math.log(0.5), math.log(1e12)))
+          for _ in range(1000)]
+    assert sum(x < 160 for x in xs) > 100 and sum(x >= 160 for x in xs) > 100
+    xs += [math.nextafter(2.0**k, 0.0) for k in range(8)]
+    xs += [math.nextafter(160.0, 0.0), 160.0, 127.01, 15.35]
+    for x in xs:
+        ref = gamma_ratio_mp(x)
+        assert float(abs(_gamma_ratio(x) - ref) / ref) <= 2e-15, x
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 7, 12, 101, 1002])
+@pytest.mark.parametrize("mu", [None, 0.0, 0.3, 5.0, 1e6])
+def test_gauss_nodes_match_scipy(mu, m):
+    """The folded nodes are the eigenvalues of the Jacobi matrix, as
+    scipy's tridiagonal solver finds them, within 1e-14 max|J| m; they
+    ascend strictly, are symmetric to the last bit and hold an exact 0 at
+    odd m."""
+    from scipy.linalg import eigh_tridiagonal
+
+    a = _coefficients(mu, m - 1)
+    x = _gauss_nodes(a)
+    ref = eigh_tridiagonal(np.zeros(m), a, eigvals_only=True)
+    assert x.shape == (m,)
+    assert np.max(np.abs(x - ref)) <= 1e-14 * np.max(a) * m
+    assert np.all(np.diff(x) > 0)
+    assert np.array_equal(x, -x[::-1])
+    if m % 2:
+        assert x[m // 2] == 0.0
+
+
+@pytest.mark.parametrize("mu, m", [(None, 60), (0.3, 30), (99.0, 50),
+                                   (1e4, 40)])
+def test_gauss_nodes_against_mpmath(mu, m):
+    """Against the 40-digit eigenvalues of the same Jacobi matrix, the
+    folded nodes are no less accurate than scipy's."""
+    mpmath = pytest.importorskip("mpmath")
+    from scipy.linalg import eigh_tridiagonal
+
+    a = _coefficients(mu, m - 1)
+    with mpmath.workdps(40):
+        jacobi = mpmath.zeros(m, m)
+        for k, ak in enumerate(a):
+            jacobi[k, k + 1] = jacobi[k + 1, k] = mpmath.mpf(float(ak))
+        exact = sorted(mpmath.eigsy(jacobi, eigvals_only=True))
+
+        def error(x):
+            return max(abs(mpmath.mpf(float(v)) - e)
+                       for v, e in zip(x, exact))
+
+        ours = error(_gauss_nodes(a))
+        theirs = error(eigh_tridiagonal(np.zeros(m), a, eigvals_only=True))
+    assert ours <= theirs
+
+
 @pytest.mark.parametrize("wt", [1e-160, 1e-300])
 @pytest.mark.parametrize("n", [1, 2, 10])
 def test_spinor_refuses_p0_plus_one_rounding_to_zero(wt, n):
@@ -543,7 +633,7 @@ def inner_product_direct(a, b, weight_level):
     at every one of a's nodes, the reference for the mirrored one."""
     bt = a.params.beta_tilde
     p0w = p0_allowed(a.params, weight_level)
-    fw = 1.0 - bt * p0w**2 + bt * a.p**2
+    fw = 1.0 - bt * p0w**2 + bt * a.p * a.p
     b1, b2, _, _ = _spinor(b.params, b.level, a.p)
     integrand = (np.conj(a.psi1) * b1 + np.conj(a.psi2) * b2) * (
         b.amplitude * a.f / fw
