@@ -160,6 +160,19 @@ def cmd_spectrum(args):
                     diagnostic=args.diagnostic)
     table = spectrum_table(params, args.n_max)
     _write_table(args, "spectrum", table.COLUMNS, table.columns())
+    # p0 and e_n finite, e_n >= 0 below bt = 1, and e_n = p0^2 - 1 to
+    # rounding; diagnostic mode excuses only the decrease flag
+    tol = 8.0 * sys.float_info.epsilon
+    missed = [lev for lev in table.levels if not (
+        math.isfinite(lev.p0_tilde) and math.isfinite(lev.e_n)
+        and (lev.e_n >= 0 or params.beta_tilde >= 1)
+        and abs(lev.e_n - (lev.p0_tilde * lev.p0_tilde - 1.0))
+        <= tol * (1.0 + lev.p0_tilde * lev.p0_tilde))]
+    if missed:
+        lev = missed[0]
+        print(f"check failed: level n = {lev.n}, tau = {lev.tau}: p0_tilde "
+              f"= {lev.p0_tilde:.3e}, e_n = {lev.e_n:.3e} ({len(missed)} of "
+              f"{len(table.levels)} levels missed)", file=sys.stderr)
     flagged = table.unphysical_decrease
     report = {
         "beta_tilde": params.beta_tilde,
@@ -167,9 +180,9 @@ def cmd_spectrum(args):
         "n_max": args.n_max,
         "levels": len(table.levels),
         "unphysical_decrease": flagged,
-        "passed": not flagged,
+        "passed": not (flagged or missed),
     }
-    return report, 0 if (not flagged or params.diagnostic) else 1
+    return report, 1 if missed or (flagged and not params.diagnostic) else 0
 
 
 def cmd_wavefunction(args):

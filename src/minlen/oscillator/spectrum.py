@@ -2,10 +2,11 @@
 oscillator (D = 1, beta' = 0).
 
 Dimensionless conventions: beta_tilde = beta m^2 c^2, omega_tilde =
-hbar omega / (m c^2), momenta in units of m c.  The level data come from
-the closed-form fixed point e_n = (p0)^2 - 1 of the factorized ladder
-problem; the numerical eigensolver in .wavefunction provides the
-independent cross-check.
+hbar omega / (m c^2), momenta in units of m c.  Each level quantity has
+one closed form, from the fixed point e_n = (p0)^2 - 1 of the factorized
+ladder problem: p0 in `p0_allowed`, e_n in `make_level` and E = m c^2 p0
+in `energy`.  The tests hold them to the other closed forms, and the
+finite-difference eigensolver in .wavefunction is the independent check.
 """
 
 from __future__ import annotations
@@ -134,76 +135,50 @@ def measure_offset(params: DOParams, p0_tilde: float) -> float:
 
 
 def e_formula(params: DOParams, n: int, p0_tilde: float) -> float:
-    """Ladder eigenvalue e_n(p0) = K [1 - beta_tilde p0^2]."""
+    """Ladder eigenvalue e_n(p0) = K [1 - beta_tilde p0^2] at any p0."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     return level_K(params, n) * measure_offset(params, p0_tilde)
 
+
 def p0_allowed(params: DOParams, qn: QuantumNumber) -> float:
     """Self-consistent p0 = tau sqrt((1+K)/(1+beta_tilde K)).
 
-    When beta_tilde > 0 the equivalent closed form
-    tau beta^{-1/2} sqrt(1 + (beta-1)/(1 + beta omega n)^2) is evaluated as
-    a consistency cross-check.  It cannot overflow, and it gives p0 when
-    beta_tilde K does (both forms tend to 1/beta_tilde as K grows).
+    Where beta_tilde K overflows, p0^2 takes the equal form
+    (1 + (beta_tilde-1)/y^2)/beta_tilde with y = 1 + beta_tilde omega_tilde n
+    (1 + beta_tilde K = y^2), which does not overflow.
     """
     bt = params.beta_tilde
     K = level_K(params, qn.n)
     if bt == 0:
         return qn.tau * math.sqrt(1.0 + K)
-    y = 1.0 + bt * params.omega_tilde * qn.n  # 1 + bt K = y^2
-    alt_sq = (1.0 + (bt - 1.0) / (y * y)) / bt
     if not math.isfinite(bt * K):
-        return qn.tau * math.sqrt(alt_sq)
-    p0 = qn.tau * math.sqrt((1.0 + K) / (1.0 + bt * K))
-    # the alternative form cancels two near-unit terms scaled by 1/bt,
-    # so its roundoff grows like eps/bt
-    if not math.isclose(p0 * p0, alt_sq, rel_tol=1e-12, abs_tol=1e-13 / bt):
-        raise AssertionError(
-            "closed forms for p0 disagree; numerical pathology"
-        )
-    return p0
+        y = 1.0 + bt * params.omega_tilde * qn.n
+        return qn.tau * math.sqrt((1.0 + (bt - 1.0) / (y * y)) / bt)
+    return qn.tau * math.sqrt((1.0 + K) / (1.0 + bt * K))
 
 
 def energy(params: DOParams, qn: QuantumNumber) -> float:
-    """Dimensional energy E_{n,tau}; requires the dimensional set.
-
-    Uses the bounded-spectrum closed form for beta > 0 and the undeformed
-    limit tau m c^2 sqrt(1 + 2 omega_tilde n) for beta = 0.
-    """
+    """Dimensional energy E_{n,tau} = m c^2 p0; requires the dimensional
+    set."""
     if not params.has_dimensions:
         raise ValueError("energy() needs the dimensional parameter set")
-    m, c = params.mass, params.c
-    bt, wt = params.beta_tilde, params.omega_tilde
-    if bt == 0:
-        E = qn.tau * m * c**2 * math.sqrt(1.0 + 2.0 * wt * qn.n)
-    else:
-        beta = params.beta
-        E = (qn.tau * c / math.sqrt(beta)) * math.sqrt(
-            1.0
-            + (beta * m**2 * c**2 - 1.0)
-            / (1.0 + beta * m * params.hbar * params.omega * qn.n) ** 2
-        )
-    # must coincide with m c^2 p0 from the fixed point
-    ref = m * c**2 * p0_allowed(params, qn)
-    if not math.isclose(E, ref, rel_tol=1e-12):
-        raise AssertionError("energy forms disagree beyond roundoff")
-    return E
+    return params.mass * params.c**2 * p0_allowed(params, qn)
 
 
 def make_level(params: DOParams, qn: QuantumNumber) -> SpectrumLevel:
-    K = level_K(params, qn.n)
+    """The level (n, tau).  e_n = p0^2 - 1 = K (1 - bt)/(1 + bt K) is
+    evaluated as (1 - bt) (wt n/y) (1 + 1/y), with no subtraction that
+    cancels; wt (n/y) stays finite where wt n overflows, and tends to 1/bt
+    where y does."""
+    bt, wt, n = params.beta_tilde, params.omega_tilde, qn.n
+    y = 1.0 + bt * wt * n
+    ratio = wt * (n / y) if y < math.inf else 1.0 / bt
+    e_n = (1.0 - bt) * ratio * (1.0 + 1.0 / y)
     p0 = p0_allowed(params, qn)
-    # e_n = p0^2 - 1 at the fixed point; K (1 - bt p0^2) is inf * 0 when
-    # bt K overflows
-    if math.isfinite(params.beta_tilde * K):
-        e_n = e_formula(params, qn.n, p0)
-    else:
-        e_n = p0 * p0 - 1.0
     E = energy(params, qn) if params.has_dimensions else None
-    return SpectrumLevel(
-        n=qn.n, tau=qn.tau, K=K, p0_tilde=p0, e_n=e_n, E_over_mc2=p0, E=E
-    )
+    return SpectrumLevel(n=n, tau=qn.tau, K=level_K(params, n), p0_tilde=p0,
+                         e_n=e_n, E_over_mc2=p0, E=E)
 
 
 @dataclass

@@ -3,10 +3,12 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -401,6 +403,39 @@ def test_spectrum_at_huge_omega(tmp_path):
             assert abs(row["e_n"] - 1.0) < 1e-15
 
 
+def test_spectrum_e_n_exact_at_large_omega(tmp_path):
+    # bt K reaches 5e19, where K (1 - bt p0^2) cancels to -1.1e4
+    code, err, report = run_extreme(tmp_path, [
+        "spectrum", "--beta-tilde", "0.5", "--omega-tilde", "1e10",
+        "--n-max", "3",
+    ])
+    assert code == 0 and err == [] and report["passed"]
+    rows = json.loads(read(str(tmp_path / "out" / "spectrum.json")))
+    assert len(rows) == 7
+    for row in rows:
+        bt, x = Fraction(0.5), Fraction(1e10) * row["n"]
+        K = x * (2 + bt * x)
+        exact = K * (1 - bt) / (1 + bt * K)
+        assert abs(Fraction(row["e_n"]) - exact) <= Fraction(1e-15), row
+
+
+@pytest.mark.parametrize("mode", [[], ["--diagnostic"]],
+                         ids=["plain", "diagnostic"])
+def test_spectrum_self_check_names_the_first_miss(tmp_path, mode):
+    # bt = 0: p0 = sqrt(1 + K) and e_n = K overflow from n = 1 on; the miss
+    # exits 1 in diagnostic mode too
+    code, err, report = run_extreme(tmp_path, [
+        "spectrum", "--beta-tilde", "0", "--omega-tilde", "1e308",
+        "--n-max", "3", *mode,
+    ])
+    assert code == 1 and report["passed"] is False
+    assert len(err) == 1
+    assert err[0].startswith("check failed: level n = 1, tau = 1: ")
+    assert "(6 of 7 levels missed)" in err[0]
+    assert list(report) == ["command", "beta_tilde", "omega_tilde", "n_max",
+                            "levels", "unphysical_decrease", "passed"]
+
+
 def test_wavefunction_at_huge_omega(tmp_path):
     code, err, report = run_extreme(tmp_path, [
         "wavefunction", "--beta-tilde", "0.5", "--omega-tilde", "1e300",
@@ -526,7 +561,7 @@ def strict_json(text):
 def test_whole_range_ends_in_a_verdict(tmp_path, bt, wt):
     """Each subcommand returns 0, 1 or 2 with at most one stderr line and no
     float warning, and its report.json, written on every pass, is strict
-    JSON."""
+    JSON.  A spectrum that exits 0 has a finite e_n >= 0 in every level."""
     for i, args in enumerate(gate_runs(bt, wt)):
         out = str(tmp_path / str(i))
         err = io.StringIO()
@@ -543,3 +578,7 @@ def test_whole_range_ends_in_a_verdict(tmp_path, bt, wt):
             strict_json(read(path))
         else:
             assert code != 0, args
+        if args[0] == "spectrum" and code == 0:
+            rows = strict_json(read(os.path.join(out, "spectrum.json")))
+            assert all(type(row["e_n"]) is float and math.isfinite(row["e_n"])
+                       and row["e_n"] >= 0 for row in rows), args
