@@ -14,8 +14,8 @@ lam = 1/(bt wt) the states are exactly (Kempf, Mangano & Mann, PRD 52
 with Gegenbauer polynomials C; for bt = 0 they are the Hermite functions
 of y = p/sqrt(wt).  `wavefunction` samples them on a uniform q grid,
 which is mirror-symmetric: psi1 has parity (-1)^n and psi2 (-1)^(n+1), so
-the closed form is evaluated on the non-negative half of the grid and
-mirrored onto the other.  The discretized
+the closed form is evaluated and stored on the non-negative half of the
+grid only; the full arrays are mirrored from it on access.  The discretized
 B+ B- = -wt^2 d^2/dq^2 + p(q)^2 - wt f(p(q)) of `eigensolve_factorized`
 and the stencils of `fd_derivative` and `ladder_apply` do not produce
 the states: they are the independent finite-difference oracle, on one
@@ -125,16 +125,16 @@ def _nodes(npts: int, dq: float, start: int = 0):
     return q
 
 
-def _measure(params: DOParams, p0_tilde: float, p, out=None):
-    """f = c0 + bt p^2 at mirror-symmetric momenta p, from their upper half,
-    written into `out` (new when None); refused as `_measure_offset` does."""
-    half = p[p.size // 2:]
+def _measure(params: DOParams, p0_tilde: float, half):
+    """f = c0 + bt p^2 at the momenta `half` of the non-negative nodes (f is
+    even); refused as `_measure_offset` does."""
     c0 = _measure_offset(params, p0_tilde)
-    return _mirror(c0 + params.beta_tilde * half * half, p.size, 1, out)
+    return c0 + params.beta_tilde * half * half
 
 
 def _momenta(params: DOParams, p0_tilde: float, npts: int, n: int):
-    """(p, dq, c0) of `flat_grid`, p mirrored from the non-negative nodes."""
+    """(half, dq, c0) of `flat_grid`: half is p on the non-negative nodes
+    q[npts//2:] (p is odd)."""
     bt = params.beta_tilde
     c0 = _measure_offset(params, p0_tilde)
     if bt > 0:
@@ -145,8 +145,12 @@ def _momenta(params: DOParams, p0_tilde: float, npts: int, n: int):
     dq = 2.0 * q_max / (npts + 1)
     half = _nodes(npts, dq, npts // 2)
     if bt > 0:
-        half = math.sqrt(c0 / bt) * np.tan(r * half)
-    return _mirror(half, npts, -1), dq, c0
+        stretch = math.sqrt(c0 / bt)
+        if stretch == math.inf:  # subnormal bt: inf tan(0) would be nan
+            raise FloatingPointError(
+                f"sqrt(c0/beta_tilde) overflows at beta_tilde = {bt}")
+        half = stretch * np.tan(r * half)
+    return half, dq, c0
 
 
 def flat_grid(params: DOParams, p0_tilde: float, npts: int, n: int = 8):
@@ -154,8 +158,10 @@ def flat_grid(params: DOParams, p0_tilde: float, npts: int, n: int = 8):
 
     q, p (odd) and f (even) are mirror-symmetric to the last bit by
     construction.  For bt = 0 the box holds the levels up to n."""
-    p, dq, c0 = _momenta(params, p0_tilde, npts, n)
-    return _nodes(npts, dq), p, _measure(params, p0_tilde, p), dq, c0
+    half, dq, c0 = _momenta(params, p0_tilde, npts, n)
+    f = _measure(params, p0_tilde, half)
+    return (_nodes(npts, dq), _mirror(half, npts, -1), _mirror(f, npts, 1),
+            dq, c0)
 
 
 def _ladder_tridiagonal(wt: float, p, f, dq: float, partner: bool = False):
@@ -480,42 +486,62 @@ def exact_moments(params: DOParams, level: SpectrumLevel):
 
 @dataclass
 class WavefunctionGrid:
-    """Sampled spinor components on the flat-coordinate grid.
+    """Sampled spinor components on the flat-coordinate grid of `size` nodes.
 
-    Only p, psi1 and psi2 are stored: q, f and weights are rebuilt on each
-    access, with `flat_grid`'s bits (keep them to use them repeatedly).
-    weights are dp-measure quadrature weights (weights/f equals dq), so the
-    normalization contract reads sum(weights*(psi1^2+psi2^2)/f) = 1.
+    Only the non-negative half of the mirror-symmetric grid is stored: p,
+    psi1 and psi2 on the ceil(size/2) nodes q[size//2:], as half_p,
+    half_psi1 and half_psi2.  p (odd), psi1 (parity (-1)^n), psi2 (parity
+    (-1)^(n+1)), q, f and weights are rebuilt on each access (keep them to
+    use them repeatedly); q, p, f and weights have `flat_grid`'s bits.
+    weights are dp-measure quadrature weights (weights/f equals dq), so
+    the normalization contract reads sum(weights*(psi1^2+psi2^2)/f) = 1.
     amplitude is the factor between the samples and the unnormalized
     closed form, which `inner_product` evaluates on foreign nodes.
     """
 
     params: DOParams
     level: SpectrumLevel
-    p: np.ndarray
-    psi1: np.ndarray
-    psi2: np.ndarray
+    half_p: np.ndarray
+    half_psi1: np.ndarray
+    half_psi2: np.ndarray
+    size: int
     dq: float
     amplitude: float = 1.0
     metadata: dict = field(default_factory=dict)
 
     @property
+    def p(self):
+        return _mirror(self.half_p, self.size, -1)
+
+    @property
+    def psi1(self):
+        return _mirror(self.half_psi1, self.size, (-1) ** self.level.n)
+
+    @property
+    def psi2(self):
+        return _mirror(self.half_psi2, self.size, -(-1) ** self.level.n)
+
+    @property
     def q(self):
-        return _nodes(self.p.size, self.dq)
+        return _nodes(self.size, self.dq)
 
     @property
     def f(self):
-        return _measure(self.params, self.level.p0_tilde, self.p)
+        return _mirror(_measure(self.params, self.level.p0_tilde, self.half_p),
+                       self.size, 1)
 
     @property
     def weights(self):
         return self.f * self.dq
 
     def norm_squared(self) -> float:
-        dens = np.square(self.psi1)
-        dens += np.square(self.psi2)
-        # abs: a nan sum reads +nan, as a sum of |psi|^2 does
-        return abs(float(np.sum(dens) * self.dq))
+        # the squares are even: summed mirrored to full length, in the
+        # upper half of one buffer, np.sum keeps the full grid's pairwise
+        # order.  abs: a nan sum reads +nan, as a sum of |psi|^2 does
+        dens = np.empty(self.size)
+        upper = np.square(self.half_psi1, out=dens[self.size // 2:])
+        upper += np.square(self.half_psi2)
+        return abs(float(np.sum(_mirror(upper, self.size, 1, dens)) * self.dq))
 
     def csv_rows(self):
         """The artifact's columns p_tilde, q, psi1, psi2, f, weight, one
@@ -551,14 +577,12 @@ def _sampled(params: DOParams, level: SpectrumLevel, npts: int):
     which is what tells a grid too coarse for the state.
     """
     p0, wt = level.p0_tilde, params.omega_tilde
-    p, dq, _ = _momenta(params, p0, npts, level.n)
-    # psi1 has parity (-1)^n and psi2 (-1)^(n+1): evaluate on the
-    # non-negative half of the grid and mirror.  Squares are even; summing
-    # them mirrored to full length keeps np.sum's pairwise order, so every
-    # sum is the bit-exact full-grid one.  The squares are formed in the
-    # upper half of one full-length buffer and mirrored in place
-    half = p[npts // 2:]
-    parity = (-1) ** level.n
+    half, dq, _ = _momenta(params, p0, npts, level.n)
+    # psi1 has parity (-1)^n and psi2 (-1)^(n+1): evaluate and store the
+    # non-negative half of the grid.  Squares are even; summing them
+    # mirrored to full length keeps np.sum's pairwise order, so every sum
+    # is the bit-exact full-grid one.  The squares are formed in the upper
+    # half of one full-length buffer and mirrored in place
     scratch = np.empty(npts)
 
     def mirrored_sum(squares):
@@ -575,10 +599,8 @@ def _sampled(params: DOParams, level: SpectrumLevel, npts: int):
         scale = 1.0 / math.sqrt(raw) if raw > 0 else 1.0
         res2 = half * psi1 + wt * d1 - (p0 + 1.0) * psi2
         res1 = half * psi2 - wt * d2 - (p0 - 1.0) * psi1
-        wf = WavefunctionGrid(params, level, p,
-                              _mirror(scale * psi1, npts, parity),
-                              _mirror(scale * psi2, npts, -parity),
-                              dq, scale)
+        wf = WavefunctionGrid(params, level, half, scale * psi1, scale * psi2,
+                              npts, dq, scale)
         wf.metadata["residual_coupled_1"] = scale * math.sqrt(
             mirrored_sum(np.square(res1, out=upper)) * dq)
         wf.metadata["residual_coupled_2"] = scale * math.sqrt(
@@ -619,9 +641,10 @@ def inner_product(a: WavefunctionGrid, b: WavefunctionGrid,
 
     The weight is the measure factor of the designated level, which is an
     explicit argument because the energy-dependent measure makes the choice
-    ambiguous between different levels.  Summed on a's nodes, where b is
-    evaluated exactly from its closed form on the non-negative half and
-    mirrored by parity, as `_sampled` does.  Raises AcceptabilityError
+    ambiguous between different levels.  Summed on a's nodes: the integrand
+    is formed on a's stored half, with b evaluated exactly from its closed
+    form there, and mirrored by its parity (-1)^(n_a + n_b), as `_sampled`
+    mirrors its squares.  Raises AcceptabilityError
     when the weight's 1 - bt p0^2 rounds to <= 0, as `flat_grid` does.
 
     With with_error=True returns (value, err): err is the larger of the
@@ -630,22 +653,19 @@ def inner_product(a: WavefunctionGrid, b: WavefunctionGrid,
     """
     if a.params != b.params:
         raise ValueError("incompatible grids: different oscillator parameters")
-    npts = a.p.size
-    parity = (-1) ** b.level.n
     # a state out of double range gives inf or nan, silently as `_sampled`
     with np.errstate(all="ignore"):
-        b1, b2 = _spinor(b.params, b.level, a.p[npts // 2:])[:2]
-        # one buffer holds b1, then b2, then the weight's f; psi is real
-        buf = _mirror(b1, npts, parity)
-        integrand = a.psi1 * buf
-        integrand += np.multiply(a.psi2, _mirror(b2, npts, -parity, out=buf),
-                                 out=buf)
-        fw = _measure(a.params, p0_allowed(a.params, weight_level), a.p,
-                      out=buf)
-        integrand *= np.divide(b.amplitude * a.f, fw, out=fw)
+        b1, b2 = _spinor(b.params, b.level, a.half_p)[:2]
+        # the integrand on a's half, in b1's buffer; psi is real
+        half = np.multiply(a.half_psi1, b1, out=b1)
+        half += np.multiply(a.half_psi2, b2, out=b2)
+        fw = _measure(a.params, p0_allowed(a.params, weight_level), a.half_p)
+        fa = _measure(a.params, a.level.p0_tilde, a.half_p)
+        half *= np.divide(np.multiply(b.amplitude, fa, out=fa), fw, out=fw)
+        integrand = _mirror(half, a.size, (-1) ** (a.level.n + b.level.n))
         val = complex(np.sum(integrand) * a.dq)
         if not with_error:
             return val
         coarse = complex(np.sum(integrand[::2]) * 2 * a.dq)
-        mass = float(np.sum(np.abs(integrand, out=buf)) * a.dq)
+        mass = float(np.sum(np.abs(integrand, out=integrand)) * a.dq)
     return val, max(abs(val - coarse) / 3.0, 1e-14 * mass)

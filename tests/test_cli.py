@@ -204,6 +204,76 @@ def test_coarse_grid_fails_on_quadrature_error(tmp_path):
     assert report["passed"] is False
 
 
+CHECKED = ("residual_coupled_1", "residual_coupled_2", "quadrature_error")
+
+
+def test_wavefunction_tol_is_inclusive(tmp_path):
+    """A quantity equal to --tol passes; one ulp less --tol fails on it."""
+    args = ["wavefunction", "--beta-tilde", "0.5", "--omega-tilde", "1",
+            "--n", "1", "--grid-size", "2001"]
+    code, _, report = run_extreme(tmp_path / "a", args)
+    worst = max(CHECKED, key=report.get)
+    tol = report[worst]
+    assert code == 0 and tol > 0
+    code, err, report = run_extreme(tmp_path / "b", args + ["--tol", repr(tol)])
+    assert code == 0 and err == [] and report["passed"] is True
+    below = math.nextafter(tol, 0.0)
+    code, err, report = run_extreme(tmp_path / "c",
+                                    args + ["--tol", repr(below)])
+    assert code == 1 and report["passed"] is False
+    assert err == [f"check failed: {worst} = {tol:.3e} (tol {below:.3e})"]
+
+
+# the doubles nearest 1 whose distance from 1 is at most 1e-8; no double's
+# distance from 1 is 1e-8 exactly (it is a multiple of 2^-53 there)
+NORM_EDGES = [1.00000001, 0.9999999900000001]
+
+
+@pytest.mark.parametrize("edge", NORM_EDGES)
+def test_wavefunction_norm_check_boundary(tmp_path, monkeypatch, edge):
+    """|norm^2 - 1| <= 1e-8 passes at the last double inside it, and the
+    next double out fails with one line."""
+    from minlen.oscillator.wavefunction import WavefunctionGrid
+
+    args = ["wavefunction", "--beta-tilde", "0.5", "--omega-tilde", "1",
+            "--n", "1", "--grid-size", "64"]
+    outside = math.nextafter(edge, 2.0 if edge > 1 else 0.0)
+    assert abs(edge - 1.0) <= 1e-8 < abs(outside - 1.0)
+    for i, norm in enumerate([edge, outside]):
+        monkeypatch.setattr(WavefunctionGrid, "norm_squared",
+                            lambda self, norm=norm: norm)
+        code, err, report = run_extreme(tmp_path / str(i), args)
+        assert report["norm_squared"] == norm
+        if norm == edge:
+            assert code == 0 and err == [] and report["passed"] is True
+        else:
+            assert code == 1 and report["passed"] is False
+            assert err == [f"check failed: norm_squared = {norm:.3e} "
+                           "(tol 1 +- 1e-8)"]
+
+
+def test_uncertainty_slack_boundary(tmp_path, monkeypatch):
+    """A slack of -1e-10 passes; the next double below it fails."""
+    import minlen.cli as cli
+
+    report_of = cli.uncertainty_report
+    args = ["uncertainty", "--beta-tilde", "0.5", "--omega-tilde", "1",
+            "--n-max", "0", "--grid-size", "64"]
+    edge = -1e-10
+    for i, slack in enumerate([edge, math.nextafter(edge, -1.0)]):
+        def pinned(wf, params, slack=slack):
+            return {**report_of(wf, params), "slack": slack}
+
+        monkeypatch.setattr(cli, "uncertainty_report", pinned)
+        code, err, report = run_extreme(tmp_path / str(i), args)
+        if slack == edge:
+            assert code == 0 and err == [] and report["passed"] is True
+        else:
+            assert code == 1 and report["passed"] is False
+            assert err == [f"check failed: level 0 slack = {slack:.3e} "
+                           "(tol -1e-10)"]
+
+
 def one_usage_error(args):
     """main returns 2 and writes exactly one stderr line, an `error:` one."""
     err = io.StringIO()
@@ -532,7 +602,7 @@ def test_limits_at_huge_omega(tmp_path):
 
 # ---- the whole range: every (bt, wt) ends in a verdict ----------------------
 
-GATE_BETAS = ["0", "1e-300", "1e-6", "0.5", "0.99"]
+GATE_BETAS = ["0", "5e-324", "1e-300", "1e-6", "0.5", "0.99"]
 GATE_OMEGAS = ["1e-320", "1e-160", "1e-6", "1", "1e10", "1e307", "1e308"]
 
 
@@ -543,6 +613,7 @@ def gate_runs(bt, wt):
         ["spectrum", *osc, "--n-max", "3"],
         ["wavefunction", *osc, "--n", "2", *grid],
         ["wavefunction", *osc, "--n", "2", "--tau", "-1", *grid],
+        ["wavefunction", *osc, "--n", "1", "--grid-size", "65"],
         ["uncertainty", *osc, "--n-max", "2", *grid],
         ["limits", "--beta-values", f"{bt},1e-3", "--omega-tilde", wt,
          "--n-max", "20"],

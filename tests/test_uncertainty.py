@@ -217,14 +217,14 @@ def test_ground_state_saturates_undeformed_bound():
 def test_state_moments_requires_normalization():
     p = DOParams(0.0, 1.0)
     g = ground_state(p, 1.0, GridSpec(2001))
-    g.psi1 = 2.0 * g.psi1
+    g.half_psi1 = 2.0 * g.half_psi1
     with pytest.raises(ValueError):
         state_moments(g, p)
     # a NaN norm compares False against any tolerance; it must fail too
     p = DOParams(0.5, 1.0)
     g = wavefunction(p, QuantumNumber(1, 1), GridSpec(401))
-    g.psi1 = np.full_like(g.psi1, np.nan)
-    g.psi2 = np.full_like(g.psi2, np.nan)
+    g.half_psi1 = np.full_like(g.half_psi1, np.nan)
+    g.half_psi2 = np.full_like(g.half_psi2, np.nan)
     with pytest.raises(ValueError):
         state_moments(g, p)
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Eigensolver oracle, ladder structure, spinor states and inner products."""
 
 import cmath
+import dataclasses
 import json
 import math
 import os
@@ -50,8 +51,14 @@ GRID = GridSpec(2001)
 
 
 def test_gridspec_validation():
+    """From 64 nodes up to the largest size whose float64 nodes numpy can
+    address (a GridSpec allocates nothing)."""
     with pytest.raises(ValueError):
         GridSpec(10)
+    limit = np.iinfo(np.intp).max // 8
+    assert GridSpec(64).size == 64 and GridSpec(limit).size == limit
+    with pytest.raises(ValueError, match=f"grid size {limit + 1} is too "):
+        GridSpec(limit + 1)
 
 
 def test_flat_grid_singular_measure():
@@ -147,13 +154,27 @@ def test_eigensolver_nonconvergence_raises():
 
 
 def test_eigensolver_refuses_diagnostic_regime():
-    p = DOParams(1.5, 1.0, diagnostic=True)
-    with pytest.raises(DiagnosticModeError):
-        eigensolve_factorized(p, 0.5, k=2)
-    with pytest.raises(DiagnosticModeError):
-        ground_state(p, 0.5)
-    with pytest.raises(DiagnosticModeError):
-        wavefunction(p, QuantumNumber(0, 1))
+    """From bt = 1 on, where 1 - bt p0^2 is still positive at p0 = 0.5."""
+    for bt in (1.0, 1.5):
+        p = DOParams(bt, 1.0, diagnostic=True)
+        with pytest.raises(DiagnosticModeError):
+            eigensolve_factorized(p, 0.5, k=2)
+        with pytest.raises(DiagnosticModeError):
+            ground_state(p, 0.5)
+        with pytest.raises(DiagnosticModeError):
+            wavefunction(p, QuantumNumber(0, 1))
+
+
+@pytest.mark.parametrize("bt", [0.0, 0.5])
+def test_ground_state_is_level_zero(bt):
+    """At the p0 of level (0, +1) the ground state carries that level
+    (n = 0, tau = +1, K = e_n = 0); at another p0 only p0 and E/mc^2
+    change."""
+    params = DOParams(bt, 1.0)
+    level = make_level(params, QuantumNumber(0, 1))
+    assert ground_state(params, level.p0_tilde, GRID).level == level
+    assert ground_state(params, 0.5, GRID).level == dataclasses.replace(
+        level, p0_tilde=0.5, E_over_mc2=0.5)
 
 
 # ---- ladder structure -------------------------------------------------------
@@ -347,18 +368,25 @@ def test_sampled_evaluates_half_the_grid(monkeypatch, size):
 @pytest.mark.parametrize("size", [64, 65, 2000, 2001])
 @pytest.mark.parametrize("bt", [0.0, 0.005, 0.5])
 def test_grid_rebuilds_q_f_and_weights_to_the_bit(bt, size):
-    """A state stores p, psi1 and psi2 only: its q, f and weights are
-    rebuilt on access and equal `flat_grid`'s, signed zeros included."""
+    """A state stores p, psi1 and psi2 on the ceil(N/2) non-negative nodes
+    only: its q, p, f and weights are rebuilt on access and equal
+    `flat_grid`'s, signed zeros included, and its psi1 and psi2 equal the
+    closed form evaluated at every node."""
     params = DOParams(bt, 1.0)
     for n, tau in [(0, 1), (1, 1), (2, -1), (5, 1)]:
         wf = wavefunction(params, QuantumNumber(n, tau), GridSpec(size))
         q, p, f, dq, _ = flat_grid(params, wf.level.p0_tilde, size, n)
-        assert dq == wf.dq
+        assert dq == wf.dq and wf.size == size
         for got, want in [(wf.q, q), (wf.p, p), (wf.f, f),
                           (wf.weights, f * dq)]:
             assert got.tobytes() == want.tobytes()
-        arrays = {k for k, v in vars(wf).items() if isinstance(v, np.ndarray)}
-        assert arrays == {"p", "psi1", "psi2"}
+        # at bt = 0.005 the tails underflow: a zero may differ in sign
+        assert_mirror_is_direct(wf, bits=bt != 0.005)
+        arrays = {k: v for k, v in vars(wf).items()
+                  if isinstance(v, np.ndarray)}
+        assert set(arrays) == {"half_p", "half_psi1", "half_psi2"}
+        assert {v.size for v in arrays.values()} == {(size + 1) // 2}
+        assert wf.half_p.tobytes() == p[size // 2:].tobytes()
 
 
 def test_sampled_builds_half_the_nodes_and_no_measure(monkeypatch):
@@ -393,9 +421,9 @@ def test_sampled_builds_half_the_nodes_and_no_measure(monkeypatch):
 @pytest.mark.parametrize("bt", [0.0, 0.5])
 def test_state_memory_gate(bt):
     """Memory gate, in bytes that tracemalloc counts (deterministic, unlike
-    the resident size): each of 11 states at N = 8001 holds at most 3.05
-    arrays of N doubles (p, psi1, psi2), and one `wavefunction` call peaks
-    at no more than 8."""
+    the resident size): each of 11 states at N = 8001 holds at most 1.55
+    arrays of N doubles (p, psi1, psi2 on the non-negative half of the
+    grid), and one `wavefunction` call peaks at no more than 7."""
     size = 8001
     params = DOParams(bt, 1.0)
     wavefunction(params, QuantumNumber(1, 1), GridSpec(size))  # lazy imports
@@ -411,8 +439,8 @@ def test_state_memory_gate(bt):
     finally:
         tracemalloc.stop()
     assert len(states) == 11
-    assert held / len(states) <= 3.05 * array
-    assert peak <= 8 * array
+    assert held / len(states) <= 1.55 * array
+    assert peak <= 7 * array
 
 
 def recurrence_out_of_place(x, g0, mu, k):
@@ -488,7 +516,7 @@ def test_norm_squared_is_the_sum_of_moduli_squared(bt, wt, level, size):
 
 def test_norm_squared_of_a_nan_state_is_positive_nan():
     wf = wavefunction(DOParams(0.5, 1.0), QuantumNumber(2, 1), GridSpec(64))
-    wf.psi1[3] = -math.nan
+    wf.half_psi1[3] = -math.nan
     assert math.isnan(wf.norm_squared())
     assert math.copysign(1.0, wf.norm_squared()) == 1.0
 
@@ -526,6 +554,22 @@ def gamma_ratio_mp(x):
     with mpmath.workdps(40):
         x = mpmath.mpf(x)
         return mpmath.gamma(x + 0.5) / mpmath.gamma(x + 1)
+
+
+def test_gamma_ratio_series_truncation():
+    """The asymptotic series of `_gamma_ratio` (x >= 160), evaluated in
+    40-digit arithmetic by passing it an mpf, is within its stated
+    truncation error 4.4e-19 of Gamma(x + 1/2)/Gamma(x + 1): a coefficient
+    off in its fifth digit misses by 3e-17, below what a double shows.  The
+    final division takes math.sqrt(x), a double, so the reference divides
+    by the same double."""
+    mpmath = pytest.importorskip("mpmath")
+    for x in (160.0, 161.5, 1000.0):
+        with mpmath.workdps(40):
+            ref = (gamma_ratio_mp(x) * mpmath.sqrt(x)
+                   / mpmath.mpf(math.sqrt(x)))
+            got = _gamma_ratio(mpmath.mpf(x))
+            assert abs(got - ref) / ref <= 4.4e-19, x
 
 
 def test_gamma_ratio_against_mpmath():
