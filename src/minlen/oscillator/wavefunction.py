@@ -20,7 +20,8 @@ B+ B- = -wt^2 d^2/dq^2 + p(q)^2 - wt f(p(q)) of `eigensolve_factorized`
 and the stencils of `fd_derivative` and `ladder_apply` do not produce
 the states: they are the independent finite-difference oracle, on one
 fixed ladder of three grids, that the tests and the benchmark compare
-against.
+against.  Each grid's B+ B- is solved as its even and odd blocks, whose
+eigenvalues alternate.
 
 The moments <p^2> and <x^2> of a state come from an exact Gauss rule
 (`_gauss`).  Its nodes are the eigenvalues of the Jacobi matrix of the
@@ -180,12 +181,29 @@ def lowest_eigenvalues(
     npts: int,
     partner: bool = False,
 ):
-    """k lowest eigenvalues of B+B- (or of the partner B-B+)."""
-    q, p, f, dq, _ = flat_grid(params, p0_tilde, npts, k + 4)
-    diag, off = _ladder_tridiagonal(params.omega_tilde, p, f, dq, partner)
-    return eigh_tridiagonal(
-        diag, off, select="i", select_range=(0, k - 1), eigvals_only=True
-    )
+    """k lowest eigenvalues, ascending, of B+B- (or of the partner B-B+).
+
+    The matrix commutes with q -> -q and is solved as its even and odd
+    blocks, built on the non-negative half grid.  The j-th eigenvector of
+    an irreducible Jacobi matrix has j sign changes, so parities alternate:
+    these are the ceil(k/2) lowest even and floor(k/2) lowest odd ones."""
+    if not 1 <= k <= npts:
+        raise ValueError(f"need 1 <= k <= npts, got k = {k}, npts = {npts}")
+    half, dq, _ = _momenta(params, p0_tilde, npts, k + 4)
+    f = _measure(params, p0_tilde, half)
+    diag, off = _ladder_tridiagonal(params.omega_tilde, half, f, dq, partner)
+    if npts % 2:  # the centre row couples to the even block only, by sqrt(2) c
+        even = (diag, np.concatenate((off[:1] * math.sqrt(2.0), off[1:])))
+        odd = (diag[1:], off[1:])
+    else:  # the bond -c across q = 0 folds onto the first row as -+ c
+        c = params.omega_tilde**2 / dq**2
+        even = (np.concatenate(([diag[0] - c], diag[1:])), off)
+        odd = (np.concatenate(([diag[0] + c], diag[1:])), off)
+    # sorted: a pair closer than eps ||T||_1 may come out in either order
+    return np.sort(np.concatenate([
+        eigh_tridiagonal(d, e, select="i", select_range=(0, j - 1),
+                         eigvals_only=True)
+        for (d, e), j in zip((even, odd), ((k + 1) // 2, k // 2)) if j]))
 
 
 @dataclass
@@ -345,9 +363,9 @@ def _family(x, g0, mu, k: int):
     return deque(_recurrence(x, g0, mu, k), maxlen=1)[0]
 
 
-def _spinor(params: DOParams, level: SpectrumLevel, p):
+def _spinor(params: DOParams, level: SpectrumLevel, p, derivatives=True):
     """Unnormalized closed-form (psi1, psi2, dpsi1/dq, dpsi2/dq) of `level`
-    at the momenta p (an array).
+    at the momenta p (an array), or (psi1, psi2) without the derivatives.
 
     term(j, k) = cos^(lam+j)(u) g_k(sin u), with g_k orthonormal for the
     index lam + j, is a positive multiple of cos^(lam+j) C_k^(lam+j), and
@@ -396,11 +414,13 @@ def _spinor(params: DOParams, level: SpectrumLevel, p):
 
     sign = (-1) ** (n // 2)
     psi1, t1 = sign * term(0, n), term(1, n - 1)
-    d1 = sign * lower(0, n) * t1 - drift(0) * psi1
     # psi2 = B- psi1/(p0 + 1) = (p psi1 + wt d1)/(p0 + 1): wt drift(0) = p
     if p0 + 1.0 == 0:  # tau = -1 at wt so small that p0 rounds to -1
         raise FloatingPointError(f"p0 + 1 rounds to 0 at p0 = {p0}")
     amp = wt * sign * lower(0, n) / (p0 + 1.0)
+    if not derivatives:
+        return psi1, amp * t1
+    d1 = sign * lower(0, n) * t1 - drift(0) * psi1
     d2 = amp * (lower(1, n - 1) * term(2, n - 2) - drift(1) * t1)
     return psi1, amp * t1, d1, d2
 
@@ -655,7 +675,7 @@ def inner_product(a: WavefunctionGrid, b: WavefunctionGrid,
         raise ValueError("incompatible grids: different oscillator parameters")
     # a state out of double range gives inf or nan, silently as `_sampled`
     with np.errstate(all="ignore"):
-        b1, b2 = _spinor(b.params, b.level, a.half_p)[:2]
+        b1, b2 = _spinor(b.params, b.level, a.half_p, derivatives=False)
         # the integrand on a's half, in b1's buffer; psi is real
         half = np.multiply(a.half_psi1, b1, out=b1)
         half += np.multiply(a.half_psi2, b2, out=b2)

@@ -1,8 +1,9 @@
 """No subcommand loads scipy: the numerical half runs on numpy alone, and
 only the finite-difference oracle `eigensolve_factorized` imports scipy,
 on its first call, through the module-level wrapper
-`wavefunction.eigh_tridiagonal`.  That wrapper stays the name a caller
-(or a profiler) patches, returning scipy's own result bit for bit."""
+`wavefunction.eigh_tridiagonal`, once for each parity block of each grid.
+That wrapper stays the name a caller (or a profiler) patches, returning
+scipy's own result on its arguments bit for bit."""
 
 import json
 import os
@@ -78,7 +79,8 @@ def test_oracle_wrapper_is_patchable_and_bit_identical(monkeypatch):
     assert calls == []
     level = make_level(params, QuantumNumber(0, 1))
     wfmod.eigensolve_factorized(params, level.p0_tilde, 3, npts=200)
-    assert len(calls) == 3  # lowest_eigenvalues on each of three grids
+    # lowest_eigenvalues on each of three grids, one even and one odd block
+    assert len(calls) == 6
 
     for args, kwargs, out in calls:
         ref = scipy.linalg.eigh_tridiagonal(*args, **kwargs)

@@ -38,6 +38,7 @@ from minlen.oscillator.wavefunction import (
     _gauss,
     _gauss_nodes,
     _l2norm,
+    _ladder_tridiagonal,
     _lam,
     _norm_integral,
     _recurrence,
@@ -52,7 +53,9 @@ GRID = GridSpec(2001)
 
 def test_gridspec_validation():
     """From 64 nodes up to the largest size whose float64 nodes numpy can
-    address (a GridSpec allocates nothing)."""
+    address (a GridSpec allocates nothing); by default 4001 nodes, the
+    CLI's --grid-size default."""
+    assert GridSpec().size == 4001
     with pytest.raises(ValueError):
         GridSpec(10)
     limit = np.iinfo(np.intp).max // 8
@@ -165,6 +168,90 @@ def test_eigensolver_refuses_diagnostic_regime():
             wavefunction(p, QuantumNumber(0, 1))
 
 
+@pytest.mark.parametrize("k,npts", [(0, 1000), (5, 3), (1, 0)])
+def test_eigensolver_refuses_bad_sizes(k, npts):
+    """The oracle needs 1 <= k <= npts on its coarsest grid, and says so."""
+    p = DOParams(0.3, 1.0)
+    with pytest.raises(ValueError) as err:
+        eigensolve_factorized(p, 0.5, k=k, npts=npts)
+    assert str(err.value) == f"need 1 <= k <= npts, got k = {k}, npts = {npts}"
+
+
+def full_lowest_eigenvalues(params, p0, k, npts, partner):
+    """(k lowest eigenvalues, ||T||_1) of scipy's solve of the whole npts-row
+    matrix of `_ladder_tridiagonal`, the reference for the parity blocks."""
+    from scipy.linalg import eigh_tridiagonal
+
+    _, p, f, dq, _ = flat_grid(params, p0, npts, k + 4)
+    diag, off = _ladder_tridiagonal(params.omega_tilde, p, f, dq, partner)
+    ev = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1),
+                          eigvals_only=True)
+    bonds = np.abs(np.concatenate(([0.0], off, [0.0])))
+    return ev, float(np.max(np.abs(diag) + bonds[:-1] + bonds[1:]))
+
+
+@given(st.one_of(st.just(0.0), st.floats(min_value=0.005, max_value=0.95)),
+       st.floats(min_value=0.05, max_value=3.0),
+       st.floats(min_value=-1.0, max_value=1.0),
+       st.integers(min_value=64, max_value=2001),
+       st.integers(min_value=1, max_value=9),
+       st.booleans())
+@example(0.0, 1.0, 0.5, 200, 9, False)
+@example(0.0, 1.0, 0.5, 201, 9, True)
+@example(0.3, 1.0, 1.0, 800, 6, False)
+@example(0.3, 1.0, 1.0, 801, 6, True)
+@example(0.005, 0.125, 0.0, 64, 8, False)  # pairs closer than eps ||T||_1
+@settings(max_examples=100, deadline=None)
+def test_parity_blocks_match_the_full_solve(bt, wt, p0, npts, k, partner):
+    """Solved as its even and odd blocks, the grid's k lowest eigenvalues
+    are scipy's full-matrix ones to within the tolerance of its bisection,
+    eps ||T||_1, and ascending.  They increase strictly where the grid
+    resolves the states; on a grid far too coarse (lam = 1600 on 64
+    nodes) an even and an odd state on single nodes +-q differ by less
+    than the tolerance."""
+    params = DOParams(bt, wt)
+    got = lowest_eigenvalues(params, p0, k, npts, partner)
+    ref, norm = full_lowest_eigenvalues(params, p0, k, npts, partner)
+    tol = 4 * np.finfo(float).eps * norm
+    assert np.max(np.abs(got - ref)) <= tol
+    gaps = np.diff(got)
+    assert np.all(gaps >= 0)
+    assert np.all((gaps > 0) | (np.diff(ref) <= 2 * tol))
+
+
+@pytest.mark.parametrize("npts", [1, 2, 3, 4, 5, 6, 7])
+def test_parity_blocks_give_every_eigenvalue(npts):
+    """At k = npts the two blocks together hold the whole spectrum, down to
+    the one- and two-node grids."""
+    params = DOParams(0.3, 1.0)
+    for partner in (False, True):
+        got = lowest_eigenvalues(params, 0.5, npts, npts, partner)
+        ref, norm = full_lowest_eigenvalues(params, 0.5, npts, npts, partner)
+        assert np.max(np.abs(got - ref)) <= 4 * np.finfo(float).eps * norm
+
+
+@pytest.mark.parametrize("npts", [2000, 2001])
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 9])
+def test_oracle_solves_two_half_blocks(monkeypatch, npts, k):
+    """Work-count guard: scipy sees the even block of ceil(N/2) rows for
+    the ceil(k/2) even states and the odd block of floor(N/2) rows for the
+    floor(k/2) odd ones, and no odd block at all for k = 1."""
+    calls = []
+    inner = wavefunction_module.eigh_tridiagonal
+
+    def counting(diag, off, **kwargs):
+        calls.append((diag.size, off.size, kwargs["select_range"]))
+        return inner(diag, off, **kwargs)
+
+    monkeypatch.setattr(wavefunction_module, "eigh_tridiagonal", counting)
+    lowest_eigenvalues(DOParams(0.3, 1.0), 0.5, k, npts)
+    even, odd = (npts + 1) // 2, npts // 2
+    expect = [(even, even - 1, (0, (k + 1) // 2 - 1))]
+    if k > 1:
+        expect.append((odd, odd - 1, (0, k // 2 - 1)))
+    assert calls == expect
+
+
 @pytest.mark.parametrize("bt", [0.0, 0.5])
 def test_ground_state_is_level_zero(bt):
     """At the p0 of level (0, +1) the ground state carries that level
@@ -208,6 +295,24 @@ def test_ladder_lowers_and_raises_between_levels():
     big = np.abs(v) > 1e-4 * np.max(np.abs(v))
     sv = np.sign(v[big])
     assert np.sum(sv[:-1] * sv[1:] < 0) == 1
+
+
+def test_ladder_too_coarse_is_strict():
+    """`too_coarse` flags an estimate that exceeds 1e-6: at the omega_tilde
+    that makes it exactly 1e-6 it reads False, at the next one up True."""
+    wf = wavefunction(DOParams(0.4, 1.0), QuantumNumber(2, 1), GridSpec(64))
+    values = wf.psi1
+    d6, d4 = (fd_derivative(values, wf.dq, order=o) for o in (6, 4))
+    a, b = _l2norm(d6 - d4, wf.dq), _l2norm(values, wf.dq)
+    wt = 1e-6 * b / a
+    assert wt * a / b == 1e-6  # est = wt a/b, as ladder_apply forms it
+    up = math.nextafter(wt, math.inf)
+    while up * a / b == 1e-6:
+        up = math.nextafter(up, math.inf)
+    metas = [ladder_apply(-1, dataclasses.replace(wf, params=DOParams(0.4, w)),
+                          values)[1] for w in (wt, up)]
+    assert metas[0] == {"derivative_error_estimate": 1e-6, "too_coarse": False}
+    assert metas[1]["too_coarse"]
 
 
 def test_ladder_sign_validation():
@@ -354,15 +459,35 @@ def test_sampled_evaluates_half_the_grid(monkeypatch, size):
     ceil(N/2) non-negative nodes, and the other half is filled by parity."""
     nodes = []
 
-    def counting(params, level, p):
+    def counting(params, level, p, **kwargs):
         nodes.append(p.size)
-        return _spinor(params, level, p)
+        return _spinor(params, level, p, **kwargs)
 
     monkeypatch.setattr(wavefunction_module, "_spinor", counting)
     wf = wavefunction(DOParams(0.5, 1.0), QuantumNumber(3, 1), GridSpec(size))
     assert nodes == [(size + 1) // 2]
     inner_product(wf, wf, QuantumNumber(3, 1))
     assert nodes == [(size + 1) // 2] * 2
+
+
+@pytest.mark.parametrize("bt", [0.0, 0.5])
+def test_inner_product_builds_no_derivatives(monkeypatch, bt):
+    """Work-count guard: b's psi1 and psi2 take the polynomial families of
+    index lam and lam + 1 (two Hermite families for bt = 0); the lam + 2
+    family, which only dpsi2/dq uses, is not built."""
+    params = DOParams(bt, 1.0)
+    a, b = (wavefunction(params, QuantumNumber(n, 1), GRID) for n in (2, 4))
+    family = wavefunction_module._family
+    families = []
+
+    def counting(x, g0, mu, k):
+        families.append((mu, k))
+        return family(x, g0, mu, k)
+
+    monkeypatch.setattr(wavefunction_module, "_family", counting)
+    inner_product(a, b, QuantumNumber(0, 1), with_error=True)
+    lam = _lam(params) if bt else None
+    assert families == [(lam, 4), (lam + 1 if bt else None, 3)]
 
 
 @pytest.mark.parametrize("size", [64, 65, 2000, 2001])
@@ -631,6 +756,17 @@ def test_gauss_nodes_against_mpmath(mu, m):
         ours = error(_gauss_nodes(a))
         theirs = error(eigh_tridiagonal(np.zeros(m), a, eigvals_only=True))
     assert ours <= theirs
+
+
+@pytest.mark.parametrize("bt", [1e-160, 1e-300])
+def test_ground_state_psi2_is_zero_at_huge_lam(bt):
+    """psi2 = B- psi1/(p0 + 1) of n = 0 is exactly zero, also where
+    lam = 1/(bt wt) is so large that the ladder factor lower(0, k) would
+    overflow for k >= 1: its k = 0 factor is 0, so psi1 alone (a spike at
+    the centre node) carries the state, and B- psi1 = 0 there."""
+    wf = wavefunction(DOParams(bt, 1.0), QuantumNumber(0, 1), GridSpec(65))
+    assert np.all(wf.psi2 == 0.0) and wf.half_psi1[0] > 0
+    assert wf.metadata["residual_coupled_2"] == 0.0
 
 
 @pytest.mark.parametrize("wt", [1e-160, 1e-300])
