@@ -37,7 +37,6 @@ from .oscillator.wavefunction import (
     eigensolve_factorized,
     ground_state,
     inner_product,
-    ladder_apply,
     wavefunction,
 )
 from .uncertainty import (
@@ -76,7 +75,6 @@ __all__ = [
     "gup_bound",
     "ground_state",
     "inner_product",
-    "ladder_apply",
     "make_level",
     "min_deltaX",
     "minkowski_square",

@@ -146,7 +146,9 @@ def p0_allowed(params: DOParams, qn: QuantumNumber) -> float:
 
     Where beta_tilde K overflows, p0^2 takes the equal form
     (1 + (beta_tilde-1)/y^2)/beta_tilde with y = 1 + beta_tilde omega_tilde n
-    (1 + beta_tilde K = y^2), which does not overflow.
+    (1 + beta_tilde K = y^2), which does not overflow. For a subnormal
+    beta_tilde that p0^2 (below 1/beta_tilde) can still pass the largest
+    double, while p0 does not; there the root is taken before dividing.
     """
     bt = params.beta_tilde
     K = level_K(params, qn.n)
@@ -154,7 +156,10 @@ def p0_allowed(params: DOParams, qn: QuantumNumber) -> float:
         return qn.tau * math.sqrt(1.0 + K)
     if not math.isfinite(bt * K):
         y = 1.0 + bt * params.omega_tilde * qn.n
-        return qn.tau * math.sqrt((1.0 + (bt - 1.0) / (y * y)) / bt)
+        num = 1.0 + (bt - 1.0) / (y * y)
+        if num / bt == math.inf:
+            return qn.tau * (math.sqrt(num) / math.sqrt(bt))
+        return qn.tau * math.sqrt(num / bt)
     return qn.tau * math.sqrt((1.0 + K) / (1.0 + bt * K))
 
 

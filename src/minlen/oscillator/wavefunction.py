@@ -17,11 +17,10 @@ which is mirror-symmetric: psi1 has parity (-1)^n and psi2 (-1)^(n+1), so
 the closed form is evaluated and stored on the non-negative half of the
 grid only; the full arrays are mirrored from it on access.  The discretized
 B+ B- = -wt^2 d^2/dq^2 + p(q)^2 - wt f(p(q)) of `eigensolve_factorized`
-and the stencils of `fd_derivative` and `ladder_apply` do not produce
-the states: they are the independent finite-difference oracle, on one
-fixed ladder of three grids, that the tests and the benchmark compare
-against.  Each grid's B+ B- is solved as its even and odd blocks, whose
-eigenvalues alternate.
+does not produce the states: it is the independent finite-difference
+oracle for their eigenvalues, on one fixed ladder of three grids, that
+the tests and the benchmark compare against.  Each grid's B+ B- is
+solved as its even and odd blocks, whose eigenvalues alternate.
 
 The moments <p^2> and <x^2> of a state come from an exact Gauss rule
 (`_gauss`).  Its nodes are the eigenvalues of the Jacobi matrix of the
@@ -138,11 +137,11 @@ def _momenta(params: DOParams, p0_tilde: float, npts: int, n: int):
     q[npts//2:] (p is odd)."""
     bt = params.beta_tilde
     c0 = _measure_offset(params, p0_tilde)
+    # cos^lam(u) <= exp(-c0 q^2/(2 wt)): no wider than that Gaussian's box
+    q_max = _box_halfwidth(params.omega_tilde / c0, n)
     if bt > 0:
         r = math.sqrt(bt * c0)
-        q_max = 0.5 * math.pi / r
-    else:
-        q_max = _box_halfwidth(params.omega_tilde, n)
+        q_max = min(0.5 * math.pi / r, q_max)
     dq = 2.0 * q_max / (npts + 1)
     half = _nodes(npts, dq, npts // 2)
     if bt > 0:
@@ -158,7 +157,8 @@ def flat_grid(params: DOParams, p0_tilde: float, npts: int, n: int = 8):
     """Interior nodes of the flat coordinate; returns (q, p, f, dq, c0).
 
     q, p (odd) and f (even) are mirror-symmetric to the last bit by
-    construction.  For bt = 0 the box holds the levels up to n."""
+    construction.  The box holds the levels up to n, within the
+    compactified domain for bt > 0."""
     half, dq, c0 = _momenta(params, p0_tilde, npts, n)
     f = _measure(params, p0_tilde, half)
     return (_nodes(npts, dq), _mirror(half, npts, -1), _mirror(f, npts, 1),
@@ -225,7 +225,9 @@ def eigensolve_factorized(
     time), Richardson-extrapolates the two finest and estimates the
     observed convergence order from all three.  Raises RuntimeError, with
     the eigenvalues of each grid, when the two finest differ by 1e-4 or
-    more relative to the largest extrapolated eigenvalue.
+    more relative to the largest extrapolated eigenvalue, or to wt c0 when
+    that is larger: at k = 1 the only eigenvalue is the zero mode e_0 = 0,
+    and from k = 2 on e_1 = K_1 c0 >= 2 wt c0.
 
     Domain: for lam = 1/(bt wt) < 3/2 the wall u = +-pi/2 is limit-circle
     (both cos^lam and cos^(1-lam) are square-integrable there).  The
@@ -239,7 +241,9 @@ def eigensolve_factorized(
     rich = (4.0 * fine - mid) / 3.0
     with np.errstate(divide="ignore", invalid="ignore"):
         orders = np.log2(np.abs(coarse - mid) / np.abs(mid - fine))
-    delta = np.max(np.abs(fine - mid)) / max(np.max(np.abs(rich)), 1e-30)
+        scale = max(np.max(np.abs(rich)),
+                    params.omega_tilde * measure_offset(params, p0_tilde))
+        delta = np.max(np.abs(fine - mid)) / scale
     if not delta < 1e-4:
         log = [{"npts": n, "eigenvalues": [float(x) for x in ev]}
                for n, ev in zip(sizes, raw)]
@@ -248,52 +252,6 @@ def eigensolve_factorized(
             f"{delta:.3e} (log: {log})"
         )
     return EigenResult(rich, orders)
-
-
-# ---------------------------------------------------------------------------
-# finite differences on the uniform q grid
-
-
-def fd_derivative(values, dq: float, order: int = 6):
-    """Central-difference d/dq with one-sided closures at the walls.
-
-    The wavefunctions vanish at the Dirichlet boundary, so the lower-order
-    edge closures do not limit global accuracy.  order is 4 or 6, on at
-    least order + 1 points.
-    """
-    v = np.asarray(values, dtype=float)
-    n = v.size
-    if order not in (4, 6) or n < order + 1:
-        raise ValueError(f"no order-{order} stencil on {n} points "
-                         "(order 4 or 6, on at least order + 1 points)")
-    out = np.empty_like(v)
-    if order == 6:
-        c = (-1.0 / 60, 3.0 / 20, -3.0 / 4, 3.0 / 4, -3.0 / 20, 1.0 / 60)
-        out[3:-3] = (
-            c[0] * v[:-6]
-            + c[1] * v[1:-5]
-            + c[2] * v[2:-4]
-            + c[3] * v[4:-2]
-            + c[4] * v[5:-1]
-            + c[5] * v[6:]
-        ) / dq
-        edge = 3
-    else:
-        out[2:-2] = (v[:-4] - 8 * v[1:-3] + 8 * v[3:-1] - v[4:]) / (12 * dq)
-        edge = 2
-    # second-order closures near the boundary (Dirichlet: ghost value 0)
-    for i in range(edge):
-        left = v[i - 1] if i > 0 else 0.0
-        out[i] = (v[i + 1] - left) / (2 * dq)
-        j = n - 1 - i
-        right = v[j + 1] if i > 0 else 0.0
-        out[j] = (right - v[j - 1]) / (2 * dq)
-    return out
-
-
-def _l2norm(values, dq: float) -> float:
-    """Discrete L2 norm sqrt(sum |v|^2 dq) on the uniform q grid."""
-    return math.sqrt(float(np.sum(np.abs(values) ** 2) * dq))
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +412,8 @@ def _gauss(params: DOParams, level: SpectrumLevel, m: int):
     """
     bt, wt = params.beta_tilde, params.omega_tilde
     mu = _lam(params) - 1.0 if bt > 0 else None
-    with np.errstate(over="ignore"):  # a_k reads 0 at huge mu
+    # a_k reads 0 (overflow) or nan (inf/inf) at huge mu
+    with np.errstate(over="ignore", invalid="ignore"):
         a = _coefficients(mu, m - 1)
     if not np.all((a > 0) & (a < math.inf)):
         raise FloatingPointError(f"no Gauss rule for the index {mu}")
@@ -568,24 +527,6 @@ class WavefunctionGrid:
         array each, yielded in turn (perfbench times this as a generator)."""
         f = self.f
         yield from (self.p, self.q, self.psi1, self.psi2, f, f * self.dq)
-
-
-def ladder_apply(sign: int, grid: WavefunctionGrid, values):
-    """Apply B^+ (sign=+1) or B^- (sign=-1): B^{+-} = p -+ wt d/dq.
-
-    Returns (result, meta); meta carries a derivative-error estimate and a
-    too-coarse warning when it exceeds 1e-6 relative to the input norm.
-    """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    wt = grid.params.omega_tilde
-    d6 = fd_derivative(values, grid.dq, order=6)
-    d4 = fd_derivative(values, grid.dq, order=4)
-    out = grid.p * values - sign * wt * d6
-    scale = _l2norm(values, grid.dq) or 1.0
-    est = wt * _l2norm(d6 - d4, grid.dq) / scale
-    meta = {"derivative_error_estimate": est, "too_coarse": est > 1e-6}
-    return out, meta
 
 
 def _sampled(params: DOParams, level: SpectrumLevel, npts: int):

@@ -190,12 +190,12 @@ def test_exit_codes(tmp_path):
 
 
 COARSE = ["wavefunction", "--beta-tilde", "1e-6", "--omega-tilde", "0.05",
-          "--n", "40", "--grid-size", "4001"]
+          "--n", "40", "--grid-size", "64"]
 
 
 def test_coarse_grid_fails_on_quadrature_error(tmp_path):
-    """About three nodes fall inside this state's support: the exact
-    residuals still hold, and the quadrature error is what fails."""
+    """64 nodes cannot resolve the 40 sign changes of this state: the
+    exact residuals still hold, and the quadrature error is what fails."""
     assert run(COARSE + ["--out-dir", str(tmp_path)]) == 1
     report = json.loads(read(str(tmp_path / "report.json")))
     assert report["quadrature_error"] > report["tol"]

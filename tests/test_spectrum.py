@@ -226,14 +226,18 @@ def _exact_e_n(bt, wt, n):
 @example(0.5, 1e10, 3)
 @example(0.5, 1e300, 3)
 @example(0.99, 1e308, 10**6)
+@example(TINY, 6.741349255733685e307, 1)
+@example(TINY, 8.988465674311578e307, 1)
 @settings(max_examples=300, deadline=None)
 def test_p0_matches_overflow_safe_form(bt, wt, n):
     """p0^2 = (1 + (bt - 1)/y^2)/bt, y = 1 + bt wt n; that form cancels two
-    near-unit terms scaled by 1/bt, so its roundoff grows like eps/bt."""
+    near-unit terms scaled by 1/bt, so its roundoff grows like eps/bt. Both
+    sides are compared times bt (tolerances scaled alike): 1/bt overflows
+    for a subnormal bt, while bt p0^2 stays below 1."""
     p0 = p0_allowed(DOParams(bt, wt), QuantumNumber(n, 1))
     y = 1.0 + bt * wt * n
-    safe = (1.0 + (bt - 1.0) / (y * y)) / bt
-    assert math.isclose(p0 * p0, safe, rel_tol=1e-12, abs_tol=1e-13 / bt)
+    safe = 1.0 + (bt - 1.0) / (y * y)
+    assert math.isclose(bt * p0 * p0, safe, rel_tol=1e-12, abs_tol=1e-13)
 
 
 @given(BETAS, OMEGAS, NS)
@@ -257,13 +261,16 @@ def test_e_n_matches_exact_value(bt, wt, n):
 
 
 def _p0_reference(bt, wt, n, tau):
-    """p0_allowed's three branches written out, to pin its bits."""
+    """p0_allowed's four branches written out, to pin its bits."""
     K = wt * n * (2.0 + bt * wt * n)
     if bt == 0:
         return tau * math.sqrt(1.0 + K)
     y = 1.0 + bt * wt * n
     if not math.isfinite(bt * K):
-        return tau * math.sqrt((1.0 + (bt - 1.0) / (y * y)) / bt)
+        num = 1.0 + (bt - 1.0) / (y * y)
+        if num / bt == math.inf:
+            return tau * (math.sqrt(num) / math.sqrt(bt))
+        return tau * math.sqrt(num / bt)
     return tau * math.sqrt((1.0 + K) / (1.0 + bt * K))
 
 
@@ -271,8 +278,12 @@ def _p0_reference(bt, wt, n, tau):
        st.sampled_from([1, -1]))
 @example(0.0, 1e308, 2, 1)
 @example(0.0, 1e308, 2, -1)
+@example(TINY, 8.988465674311578e307, 1, -1)
 @settings(max_examples=300, deadline=None)
 def test_p0_bits_are_unchanged(bt, wt, n, tau):
-    """Bit for bit, +-inf included where bt = 0 and K overflows."""
+    """Bit for bit, +-inf included where bt = 0 and K overflows; finite
+    wherever bt > 0, as |p0| <= 1/sqrt(bt)."""
     p0 = p0_allowed(DOParams(bt, wt), QuantumNumber(n, tau))
     assert p0.hex() == _p0_reference(bt, wt, n, tau).hex()
+    if bt > 0:
+        assert math.isfinite(p0)

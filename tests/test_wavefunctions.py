@@ -29,7 +29,6 @@ from minlen.oscillator.wavefunction import (
     DiagnosticModeError,
     GridSpec,
     eigensolve_factorized,
-    fd_derivative,
     flat_grid,
     ground_state,
     inner_product,
@@ -37,18 +36,29 @@ from minlen.oscillator.wavefunction import (
     _gamma_ratio,
     _gauss,
     _gauss_nodes,
-    _l2norm,
     _ladder_tridiagonal,
     _lam,
     _norm_integral,
     _recurrence,
     _spinor,
-    ladder_apply,
     lowest_eigenvalues,
     wavefunction,
 )
 
 GRID = GridSpec(2001)
+# sixth-order central d/dq: the finite-difference check of the closed form
+STENCIL = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
+
+
+def _ladder(sign, grid, values):
+    """B+ (sign +1) or B- (sign -1) = p -+ wt d/dq on grid's nodes, by the
+    stencil with zero values beyond the Dirichlet walls."""
+    dv = np.correlate(np.pad(values, 3), STENCIL, "valid") / grid.dq
+    return grid.p * values - sign * grid.params.omega_tilde * dv
+
+
+def _l2norm(values, dq):
+    return math.sqrt(float(np.sum(values * values)) * dq)
 
 
 def test_gridspec_validation():
@@ -97,26 +107,18 @@ def test_flat_grid_compactifies():
     )
 
 
-def test_fd_derivative_accuracy():
-    n = 1500
-    L = 6.0
-    dq = 2 * L / (n + 1)
-    q = np.linspace(-L + dq, L - dq, n)
-    v = np.exp(-(q**2))
-    exact = -2 * q * v
-    for order, tol in ((6, 1e-10), (4, 1e-7)):
-        err = np.max(np.abs(fd_derivative(v, dq, order=order) - exact))
-        assert err < tol
-    # no silent fallback to another stencil
-    for order in (5, 8):
-        with pytest.raises(ValueError):
-            fd_derivative(v, dq, order=order)
-    for size in (5, 6):
-        with pytest.raises(ValueError):
-            fd_derivative(v[:size], dq, order=6)
-    with pytest.raises(ValueError):
-        fd_derivative(v[:4], dq, order=4)
-    assert fd_derivative(v[:7], dq, order=6).shape == (7,)
+@pytest.mark.parametrize("bt", [0.0, 1e-6])
+def test_flat_grid_box_holds_the_levels_up_to_n(bt):
+    """Where it fits in the compactified domain (at bt = 0, and at small
+    bt wt, where that domain is almost all tail), the box is the Gaussian
+    one, sqrt(wt/c0) (sqrt(2n + 1) + 9), of the levels up to n: 8 by
+    default."""
+    p = DOParams(bt, 0.5)
+    p0 = p0_allowed(p, QuantumNumber(1, 1))
+    for n, args in ((8, ()), (3, (3,))):
+        q, pp, f, dq, c0 = flat_grid(p, p0, 501, *args)
+        box = math.sqrt(0.5 / c0) * (math.sqrt(2.0 * n + 1.0) + 9.0)
+        assert abs(q[-1] + dq - box) < 1e-12 * box
 
 
 # ---- eigenvalue oracle ------------------------------------------------------
@@ -145,6 +147,29 @@ def test_partner_spectrum_is_shifted():
     assert np.max(np.abs(partner - plain[1:])) < 1e-5 * plain[-1]
     # no zero mode on the partner side
     assert partner[0] > 0.1
+
+
+@pytest.mark.parametrize("bt,wt", [
+    (0.1, 0.5), (0.3, 1.0), (0.5, 1.0), (0.9, 0.2), (0.0, 1.0)])
+def test_eigensolver_converges_on_the_zero_mode_alone(bt, wt):
+    """k = 1 keeps only the zero mode, whose extrapolated value is round-off:
+    it converges, judged against wt c0, and is the first value of k = 2.
+    For bt = 0 the box grows with k, so the two agree to round-off only."""
+    p = DOParams(bt, wt)
+    p0 = p0_allowed(p, QuantumNumber(0, 1))
+    (zero,) = eigensolve_factorized(p, p0, k=1).eigenvalues
+    first = eigensolve_factorized(p, p0, k=2).eigenvalues[0]
+    assert zero == first if bt > 0 else abs(zero - first) < 1e-9 * wt
+
+
+def test_zero_mode_floor_leaves_k2_verdicts_alone():
+    """From k = 2 on, the largest eigenvalue (e_1 = K_1 c0 >= 2 wt c0) sets
+    the scale, not the wt c0 floor: at x = 2 bt wt = 2.85, past the limit-
+    circle drift, k = 2 at the ground p0 (c0 = 0.05) still fails to
+    converge, where a floor of wt/c0 would have hidden the change."""
+    p = DOParams(0.95, 1.5)
+    with pytest.raises(RuntimeError, match=r"change 3\.\d+e-03"):
+        eigensolve_factorized(p, p0_allowed(p, QuantumNumber(0, 1)), k=2)
 
 
 def test_eigensolver_nonconvergence_raises():
@@ -277,8 +302,7 @@ def test_hermite_ladder_undeformed():
         coefs = [0] * k + [1]
         psi = np.polynomial.hermite.hermval(x, coefs) * np.exp(-x * x / 2)
         psi /= math.sqrt(float(np.sum(psi**2) * grid.dq))
-        down, _ = ladder_apply(-1, grid, psi)
-        up, _ = ladder_apply(1, grid, down)
+        up = _ladder(1, grid, _ladder(-1, grid, psi))
         err = np.max(np.abs(up - 2 * wt * k * psi))
         assert err < 1e-6
 
@@ -286,8 +310,7 @@ def test_hermite_ladder_undeformed():
 def test_ladder_lowers_and_raises_between_levels():
     p = DOParams(0.4, 1.0)
     wf2 = wavefunction(p, QuantumNumber(2, 1), GRID)
-    down, meta = ladder_apply(-1, wf2, wf2.psi1)
-    assert not meta["too_coarse"]
+    down = _ladder(-1, wf2, wf2.psi1)
     # one application removes exactly one node; count in the interior,
     # where the diverging p(q) does not amplify boundary tail noise
     interior = np.abs(wf2.q) < 0.8 * np.max(np.abs(wf2.q))
@@ -295,31 +318,6 @@ def test_ladder_lowers_and_raises_between_levels():
     big = np.abs(v) > 1e-4 * np.max(np.abs(v))
     sv = np.sign(v[big])
     assert np.sum(sv[:-1] * sv[1:] < 0) == 1
-
-
-def test_ladder_too_coarse_is_strict():
-    """`too_coarse` flags an estimate that exceeds 1e-6: at the omega_tilde
-    that makes it exactly 1e-6 it reads False, at the next one up True."""
-    wf = wavefunction(DOParams(0.4, 1.0), QuantumNumber(2, 1), GridSpec(64))
-    values = wf.psi1
-    d6, d4 = (fd_derivative(values, wf.dq, order=o) for o in (6, 4))
-    a, b = _l2norm(d6 - d4, wf.dq), _l2norm(values, wf.dq)
-    wt = 1e-6 * b / a
-    assert wt * a / b == 1e-6  # est = wt a/b, as ladder_apply forms it
-    up = math.nextafter(wt, math.inf)
-    while up * a / b == 1e-6:
-        up = math.nextafter(up, math.inf)
-    metas = [ladder_apply(-1, dataclasses.replace(wf, params=DOParams(0.4, w)),
-                          values)[1] for w in (wt, up)]
-    assert metas[0] == {"derivative_error_estimate": 1e-6, "too_coarse": False}
-    assert metas[1]["too_coarse"]
-
-
-def test_ladder_sign_validation():
-    p = DOParams(0.0, 1.0)
-    g = ground_state(p, 1.0, GRID)
-    with pytest.raises(ValueError):
-        ladder_apply(0, g, g.psi1)
 
 
 # ---- states -----------------------------------------------------------------
@@ -656,6 +654,18 @@ def test_gauss_refuses_coefficients_that_overflow():
             _gauss(DOParams(0.5, 1e-160), level, 4)
 
 
+def test_gauss_refuses_an_infinite_index_silently():
+    """At bt = 1e-300, wt = 1e-10, bt wt is subnormal and the index
+    lam - 1 is inf: the coefficients read inf/inf, and `_gauss` names the
+    index with no numpy warning first."""
+    level = SpectrumLevel(0, 1, 0.0, 0.0, 0.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError,
+                           match="^no Gauss rule for the index inf$"):
+            _gauss(DOParams(1e-300, 1e-10), level, 4)
+
+
 def test_lam_refuses_a_product_that_rounds_to_zero():
     """bt wt = 1e-300 * 1e-160 rounds to 0: every user of lam = 1/(bt wt)
     names the product, where it divided by zero before; a product that is
@@ -960,10 +970,9 @@ def test_exact_overlap_across_boxes():
 
 def _fd_residual(wf, psi2):
     """Coupled residual of (wf.psi1, psi2) under the finite-difference
-    ladder operators of `ladder_apply` (6th-order stencil)."""
+    ladder operators of `_ladder`."""
     p0 = wf.level.p0_tilde
-    down, _ = ladder_apply(-1, wf, wf.psi1)
-    up, _ = ladder_apply(1, wf, psi2)
+    down, up = _ladder(-1, wf, wf.psi1), _ladder(1, wf, psi2)
     return max(_l2norm(down - (p0 + 1.0) * psi2, wf.dq),
                _l2norm(up - (p0 - 1.0) * wf.psi1, wf.dq))
 
